@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build fmt-check vet lint lint-json lint-sarif lint-baseline lint-concurrency vulncheck test race race-bb race-server bench-smoke bench-json bench-serve serve-smoke obs-smoke fuzz-smoke ci
+.PHONY: build fmt-check vet lint lint-json lint-sarif lint-baseline lint-concurrency vulncheck test race race-bb race-server bench-smoke bench-e2e-smoke bench-json bench-serve serve-smoke obs-smoke fuzz-smoke ci
 
 build:
 	$(GO) build ./...
@@ -86,6 +86,15 @@ race-bb:
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x . ./internal/kplex/ ./internal/fastoracle/
 
+# The service benchmark's own smoke test (_bench is a separate module, so
+# `go test ./...` at the root skips it): every workload end to end at a
+# tiny size, untraced and traced, against a freshly built qmkpd, checking
+# answers, the metric names and units BENCHMARK.json declares, and that
+# two traced runs of one seed report identical work counts. Needs
+# taskset (util-linux).
+bench-e2e-smoke:
+	cd _bench && $(GO) test -count=1 ./...
+
 # Timed fast-path benchmarks rendered as JSON (cmd/benchjson) — the
 # artifact behind EXPERIMENTS.md's speedup table and the CI upload.
 # BENCH_ISSUE7.json captures the Table-vs-branch-and-bound crossover
@@ -150,4 +159,4 @@ fuzz-smoke:
 	$(GO) test ./internal/graph/ -fuzz FuzzGraphRead -fuzztime 5s
 	$(GO) test ./internal/oracle/ -run FuzzFastOracle -fuzz FuzzFastOracle -fuzztime 5s
 
-ci: build fmt-check vet lint lint-concurrency test race race-bb race-server bench-smoke obs-smoke serve-smoke
+ci: build fmt-check vet lint lint-concurrency test race race-bb race-server bench-smoke bench-e2e-smoke obs-smoke serve-smoke

@@ -21,10 +21,11 @@
 package canon
 
 import (
+	"cmp"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
-	"sort"
+	"slices"
 
 	"repro/internal/graph"
 	"repro/internal/parallel"
@@ -57,7 +58,7 @@ func (f *Form) Apply(set []int) []int {
 	for i, v := range set {
 		out[i] = f.Perm[v]
 	}
-	sort.Ints(out)
+	slices.Sort(out)
 	return out
 }
 
@@ -72,7 +73,7 @@ func (f *Form) Lift(set []int) []int {
 	for i, c := range set {
 		out[i] = f.order[c]
 	}
-	sort.Ints(out)
+	slices.Sort(out)
 	return out
 }
 
@@ -104,7 +105,7 @@ func Canonical(g *graph.Graph) *Form {
 	n := g.N()
 	f := &Form{N: n, M: g.M()}
 	if n == 0 {
-		f.Bytes = serialize(g, nil, 0)
+		f.Bytes = serialize(nil, nil, 0)
 		f.Hash = hashBytes(f.Bytes)
 		return f
 	}
@@ -135,7 +136,7 @@ func Canonical(g *graph.Graph) *Form {
 				for i, u := range neighbors[v] {
 					ns[i] = colors[u]
 				}
-				sort.Slice(ns, func(i, j int) bool { return ns[i] < ns[j] })
+				slices.Sort(ns)
 				h := mix(colors[v] + 0x9e3779b97f4a7c15)
 				for _, c := range ns {
 					h = mix(h ^ mix(c))
@@ -143,8 +144,7 @@ func Canonical(g *graph.Graph) *Form {
 				sigs[v] = h
 			}
 		})
-		compact(sigs, colors)
-		next := countCells(colors)
+		next := compact(sigs, colors)
 		f.Rounds++
 		if next == cells {
 			break
@@ -158,12 +158,11 @@ func Canonical(g *graph.Graph) *Form {
 	for i := range order {
 		order[i] = i
 	}
-	sort.Slice(order, func(i, j int) bool {
-		a, b := order[i], order[j]
-		if colors[a] != colors[b] {
-			return colors[a] < colors[b]
+	slices.SortFunc(order, func(a, b int) int {
+		if c := cmp.Compare(colors[a], colors[b]); c != 0 {
+			return c
 		}
-		return a < b
+		return cmp.Compare(a, b)
 	})
 	f.order = order
 	f.Perm = make([]int, n)
@@ -171,73 +170,64 @@ func Canonical(g *graph.Graph) *Form {
 		f.Perm[v] = c
 	}
 
-	f.Bytes = serialize(g, order, g.M())
+	f.Bytes = serialize(neighbors, f.Perm, g.M())
 	f.Hash = hashBytes(f.Bytes)
 	return f
 }
 
 // compact replaces each signature with its dense rank in sorted-hash
-// order, writing the ranks into colors. Rank order is a function of the
-// label-invariant signature values only.
-func compact(sigs []uint64, colors []uint64) {
+// order, writing the ranks into colors, and returns the number of
+// distinct ranks. Rank order is a function of the label-invariant
+// signature values only.
+func compact(sigs []uint64, colors []uint64) int {
 	sorted := append([]uint64(nil), sigs...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	// Deduplicate in place; ranks are positions in the unique list.
-	uniq := sorted[:0]
-	var prev uint64
-	for i, s := range sorted {
-		if i == 0 || s != prev {
-			uniq = append(uniq, s)
-			prev = s
-		}
-	}
+	slices.Sort(sorted)
+	// Ranks are positions in the deduplicated list.
+	uniq := slices.Compact(sorted)
 	for v, s := range sigs {
-		colors[v] = uint64(sort.Search(len(uniq), func(i int) bool { return uniq[i] >= s }))
+		rank, _ := slices.BinarySearch(uniq, s)
+		colors[v] = uint64(rank)
 	}
+	return len(uniq)
 }
 
 // countCells returns the number of distinct colours.
 func countCells(colors []uint64) int {
 	sorted := append([]uint64(nil), colors...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	cells := 0
-	for i, c := range sorted {
-		if i == 0 || c != sorted[i-1] {
-			cells++
-		}
-	}
-	return cells
+	slices.Sort(sorted)
+	return len(slices.Compact(sorted))
 }
 
 // serialize renders the canonical bytes: "qmkpcanon1", n, m as uvarints,
 // then the upper triangle of the reordered adjacency matrix packed 8
-// entries per byte. Equal bytes ⇔ identical canonical adjacency — the
-// collision-proof comparison the cache performs on every hit.
-func serialize(g *graph.Graph, order []int, m int) []byte {
-	n := g.N()
-	out := make([]byte, 0, 16+n*n/16)
+// entries per byte, most significant bit first, in row-major order over
+// canonical pairs (a, b), a < b. Equal bytes ⇔ identical canonical
+// adjacency — the collision-proof comparison the cache performs on every
+// hit.
+//
+// The body is built from the neighbour lists rather than by probing all
+// n(n-1)/2 pairs: it starts zeroed and each edge sets its one bit, at
+// position a(2n-a-1)/2 + (b-a-1) for canonical endpoints a < b. That is
+// O(n²/8 + m), and the bytes are exactly those of the pairwise scan.
+func serialize(neighbors [][]int, perm []int, m int) []byte {
+	n := len(neighbors)
+	body := (n*(n-1)/2 + 7) / 8
+	out := make([]byte, 0, len("qmkpcanon1")+2*binary.MaxVarintLen64+body)
 	out = append(out, "qmkpcanon1"...)
 	out = binary.AppendUvarint(out, uint64(n))
 	out = binary.AppendUvarint(out, uint64(m))
-	var acc byte
-	nbits := 0
-	for cu := 0; cu < n; cu++ {
-		for cv := cu + 1; cv < n; cv++ {
-			acc <<= 1
-			if g.HasEdge(order[cu], order[cv]) {
-				acc |= 1
+	bitmap := out[len(out) : len(out)+body]
+	for v, ns := range neighbors {
+		for _, u := range ns {
+			a, b := perm[v], perm[u]
+			if a >= b {
+				continue // each edge once, from its lower canonical end
 			}
-			nbits++
-			if nbits == 8 {
-				out = append(out, acc)
-				acc, nbits = 0, 0
-			}
+			i := a*(2*n-a-1)/2 + (b - a - 1)
+			bitmap[i/8] |= 0x80 >> (i % 8)
 		}
 	}
-	if nbits > 0 {
-		out = append(out, acc<<(8-nbits))
-	}
-	return out
+	return out[:len(out)+body]
 }
 
 // hashBytes returns the hex SHA-256 of b.

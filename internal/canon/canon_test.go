@@ -1,6 +1,7 @@
 package canon
 
 import (
+	"encoding/binary"
 	"math/rand"
 	"path/filepath"
 	"testing"
@@ -190,5 +191,119 @@ func TestRegularGraphStaysSound(t *testing.T) {
 	g := Canonical(cycle(8, 3))
 	if f.Hash != g.Hash {
 		t.Error("rotated C8 must share the canonical form (identity tie-break preserves the cycle order)")
+	}
+}
+
+// serializeReference is the pairwise serializer serialize replaced: one
+// HasEdge probe per canonical pair, bits shifted in MSB first. Kept
+// verbatim as the equivalence target — the canonical bytes are cache
+// keys, so serialize must reproduce them bit for bit.
+func serializeReference(g *graph.Graph, order []int, m int) []byte {
+	n := g.N()
+	out := make([]byte, 0, 16+n*n/16)
+	out = append(out, "qmkpcanon1"...)
+	out = binary.AppendUvarint(out, uint64(n))
+	out = binary.AppendUvarint(out, uint64(m))
+	var acc byte
+	nbits := 0
+	for cu := 0; cu < n; cu++ {
+		for cv := cu + 1; cv < n; cv++ {
+			acc <<= 1
+			if g.HasEdge(order[cu], order[cv]) {
+				acc |= 1
+			}
+			nbits++
+			if nbits == 8 {
+				out = append(out, acc)
+				acc, nbits = 0, 0
+			}
+		}
+	}
+	if nbits > 0 {
+		out = append(out, acc<<(8-nbits))
+	}
+	return out
+}
+
+// TestBytesMatchPairwiseScan pins the edge-driven serializer to the
+// pairwise reference on every checked-in instance, on G(n,p) across
+// densities (n = 0, 1 and 2 included, and sizes whose bit count is not a
+// multiple of 8), and on a sparse planted instance the size of the
+// service's sparse workload.
+func TestBytesMatchPairwiseScan(t *testing.T) {
+	check := func(name string, g *graph.Graph) {
+		t.Helper()
+		f := Canonical(g)
+		if want := serializeReference(g, f.order, g.M()); string(f.Bytes) != string(want) {
+			t.Errorf("%s %v: canonical bytes differ from the pairwise scan", name, g)
+		}
+	}
+	files, err := filepath.Glob(filepath.Join("..", "graph", "testdata", "*.clq"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(files) == 0 {
+		t.Fatal("no testdata/*.clq instances found")
+	}
+	for _, path := range files {
+		g, err := graph.ReadFile(path)
+		if err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		check(path, g)
+	}
+	rng := rand.New(rand.NewSource(13))
+	for _, n := range []int{0, 1, 2, 3, 5, 9, 17, 64, 65, 130} {
+		for _, p := range []float64{0, 0.05, 0.3, 0.7, 1} {
+			check("gnp", graph.Gnp(n, p, rng.Int63()))
+		}
+	}
+	planted, _ := graph.PlantedKPlex(1000, 20, 2, 5.0/1000, 29)
+	check("planted", planted)
+}
+
+// TestHashesPinned pins the canonical hashes of the checked-in instances,
+// of a sparse planted instance whose refinement stays non-discrete (986
+// cells of 1000), and of a cubic graph that refinement cannot split at
+// all and whose bytes depend on the index tie-break (its labelling has
+// no reflection symmetry). The values were produced by the pairwise
+// serializer and the sort-package refinement; a change to the
+// refinement, the canonical order or the byte layout moves them.
+func TestHashesPinned(t *testing.T) {
+	want := map[string]string{
+		"gnm100.clq":     "2d6bde5681c9391206a8422bfdc85fb388e47ba311f43cecc31328f4a1fff9c3",
+		"gnm200.clq":     "614bed834c534807e5cc92b87c0a93f810b74e804df132eb0b0425d8c9dd25a3",
+		"planted150.clq": "8ae086d3aa51fa792ae1558f37de408d497e266493d212f633dc482f53365cbf",
+	}
+	for name, hash := range want {
+		g, err := graph.ReadFile(filepath.Join("..", "graph", "testdata", name))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if got := Canonical(g).Hash; got != hash {
+			t.Errorf("%s: hash %s, want %s", name, got, hash)
+		}
+	}
+	planted, _ := graph.PlantedKPlex(1000, 20, 2, 5.0/1000, 29)
+	f := Canonical(planted)
+	if f.Cells != 986 || f.Rounds != 4 {
+		t.Errorf("planted: %d cells after %d rounds, want 986 after 4", f.Cells, f.Rounds)
+	}
+	if want := "4216f0585a21f5a419c81513f4c05a03e6ac4977d1037a9ceecf3620ea3bf889"; f.Hash != want {
+		t.Errorf("planted: hash %s, want %s", f.Hash, want)
+	}
+	cubic := graph.New(10)
+	for i := 0; i < 10; i++ {
+		cubic.AddEdge(i, (i+1)%10)
+	}
+	for _, e := range [][2]int{{0, 5}, {1, 3}, {2, 7}, {4, 8}, {6, 9}} {
+		cubic.AddEdge(e[0], e[1])
+	}
+	f = Canonical(cubic)
+	if f.Cells != 1 {
+		t.Errorf("cubic: %d cells, want 1", f.Cells)
+	}
+	if want := "dbfc5e42af82dcaba595109e2802a32e19b50946ac87a01cee9e0c194da68908"; f.Hash != want {
+		t.Errorf("cubic: hash %s, want %s", f.Hash, want)
 	}
 }

@@ -103,14 +103,14 @@ func (g *Graph) Degree(v int) int {
 	return g.deg[v]
 }
 
-// Neighbors returns the sorted neighbour list of v.
+// Neighbors returns the sorted neighbour list of v, walking v's row a
+// word at a time: O(n/64 + deg(v)).
 func (g *Graph) Neighbors(v int) []int {
 	g.checkVertex(v)
+	row := g.adj[v]
 	out := make([]int, 0, g.deg[v])
-	for u := 0; u < g.n; u++ {
-		if g.adj[v].Get(u) {
-			out = append(out, u)
-		}
+	for u := row.NextSet(0); u >= 0; u = row.NextSet(u + 1) {
+		out = append(out, u)
 	}
 	return out
 }

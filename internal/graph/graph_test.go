@@ -57,6 +57,45 @@ func TestNeighborsAndEdges(t *testing.T) {
 	}
 }
 
+// TestNeighborsWordBoundaries pins the word-level row walk against the
+// definitional ascending HasEdge scan at sizes on and around the 64-bit
+// word boundaries, where the last vertex sits alone in its word or fills
+// it. Vertex n-1 gets an edge when n > 2 and vertex n/2 is isolated, so
+// both a full last column and an empty row are exercised.
+func TestNeighborsWordBoundaries(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	for _, n := range []int{1, 63, 64, 65, 128, 129} {
+		g := Gnp(n, 0.1, rng.Int63())
+		iso := n / 2
+		for u := 0; u < n; u++ {
+			g.RemoveEdge(iso, u) // no-op for non-edges and u == iso
+		}
+		if n > 2 && !g.HasEdge(0, n-1) {
+			g.AddEdge(0, n-1)
+		}
+		for v := 0; v < n; v++ {
+			var want []int
+			for u := 0; u < n; u++ {
+				if g.HasEdge(v, u) {
+					want = append(want, u)
+				}
+			}
+			got := g.Neighbors(v)
+			if len(got) != len(want) || len(got) != g.Degree(v) {
+				t.Fatalf("n=%d Neighbors(%d) = %v, want %v (degree %d)", n, v, got, want, g.Degree(v))
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("n=%d Neighbors(%d) = %v, want %v", n, v, got, want)
+				}
+			}
+		}
+		if len(g.Neighbors(iso)) != 0 {
+			t.Errorf("n=%d: isolated vertex %d has neighbours %v", n, iso, g.Neighbors(iso))
+		}
+	}
+}
+
 func TestComplement(t *testing.T) {
 	g := Example6()
 	c := g.Complement()

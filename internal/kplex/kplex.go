@@ -374,29 +374,49 @@ func MaxKPlex(g *graph.Graph, k int) (Result, error) {
 }
 
 // Greedy builds a k-plex by repeated best-candidate insertion from every
-// possible seed vertex and returns the largest found. Deterministic, and
-// bit-identical to the definitional rebuild-and-recheck formulation (kept
-// as greedyReference in the tests): membership lives in a bitset, induced
-// degrees are maintained incrementally, and the per-candidate feasibility
-// test uses the k-plex growth invariant — P ∪ {v} stays a k-plex iff
-// deg_P(v) ≥ |P|+1-k and every member already at its deficiency budget
-// (deg_P(u) = |P|-k) is adjacent to v — so a probe costs O(|critical|)
-// instead of an O(|P|²) IsKPlex rescan on a freshly copied slice.
+// possible seed vertex and returns the largest found. Each step adds the
+// feasible non-member with the most neighbours in the set P, the lowest
+// index among ties. Deterministic, and bit-identical to the definitional
+// rebuild-and-recheck formulation (kept as greedyReference in the tests).
+//
+// Membership lives in a bitset and induced degrees deg_P are maintained
+// incrementally. The feasibility test uses the k-plex growth invariant:
+// P ∪ {v} stays a k-plex iff deg_P(v) ≥ |P|+1-k and v is adjacent to
+// every member already at its deficiency budget (deg_P(u) = |P|-k), so a
+// probe costs O(|critical|) instead of an O(|P|²) IsKPlex rescan.
+//
+// Only the frontier N(P), the non-members with deg_P > 0, is scored.
+// Once |P| ≥ k every feasible candidate has deg_P ≥ 1, so it lies in the
+// frontier. While |P| ≤ k-1 no member is critical and every non-member
+// is feasible, so any frontier vertex beats every gain-0 vertex; the
+// lowest-index non-member is taken only when the frontier is empty. A
+// seed resets only the entries it touched, so after one O(n²/64 + m)
+// pass collecting neighbour lists a step costs O(|P| + |N(P)|·|critical|)
+// plus the added vertex's degree, independent of n.
 func Greedy(g *graph.Graph, k int) []int {
 	n := g.N()
+	nbrs := make([][]int, n)
+	for v := range nbrs {
+		nbrs[v] = g.Neighbors(v)
+	}
 	member := bitvec.New(n)
 	degS := make([]int, n)
-	var set, critical, best []int
-	for seed := 0; seed < n; seed++ {
-		member.Clear()
-		for i := range degS {
-			degS[i] = 0
-		}
-		set = append(set[:0], seed)
-		member.Set(seed, true)
-		for _, u := range g.Neighbors(seed) {
+	// touched lists every vertex the current seed raised to deg_P > 0, in
+	// first-touch order: the frontier plus members adjacent to P.
+	var set, touched, critical, best []int
+	add := func(v int) {
+		set = append(set, v)
+		member.Set(v, true)
+		for _, u := range nbrs[v] {
+			if degS[u] == 0 {
+				touched = append(touched, u)
+			}
 			degS[u]++
 		}
+	}
+	for seed := 0; seed < n; seed++ {
+		set, touched = set[:0], touched[:0]
+		add(seed)
 		for {
 			s := len(set)
 			critical = critical[:0]
@@ -405,9 +425,13 @@ func Greedy(g *graph.Graph, k int) []int {
 					critical = append(critical, u)
 				}
 			}
-			bestV, bestGain := -1, -1
-			for v := 0; v < n; v++ {
-				if member.Get(v) || degS[v] < s+1-k {
+			// degS[v] is exactly InducedDegree(v, set): the insertion gain
+			// of the reference formulation. touched is not in index order,
+			// so ties are broken on the index explicitly.
+			bestV, bestGain := -1, 0
+			for _, v := range touched {
+				d := degS[v]
+				if member.Get(v) || d < s+1-k || d < bestGain || (d == bestGain && v > bestV) {
 					continue
 				}
 				ok := true
@@ -417,23 +441,34 @@ func Greedy(g *graph.Graph, k int) []int {
 						break
 					}
 				}
-				// degS[v] is exactly InducedDegree(v, set): the insertion
-				// gain of the reference formulation.
-				if ok && degS[v] > bestGain {
-					bestV, bestGain = v, degS[v]
+				if ok {
+					bestV, bestGain = v, d
+				}
+			}
+			if bestV < 0 && s < k {
+				// Empty frontier and no critical member: every non-member
+				// is a gain-0 candidate.
+				bestV = 0
+				for bestV < n && member.Get(bestV) {
+					bestV++
+				}
+				if bestV == n {
+					bestV = -1
 				}
 			}
 			if bestV < 0 {
 				break
 			}
-			set = append(set, bestV)
-			member.Set(bestV, true)
-			for _, u := range g.Neighbors(bestV) {
-				degS[u]++
-			}
+			add(bestV)
 		}
 		if len(set) > len(best) {
 			best = append(best[:0], set...)
+		}
+		for _, u := range touched {
+			degS[u] = 0
+		}
+		for _, v := range set {
+			member.Set(v, false)
 		}
 	}
 	sort.Ints(best)

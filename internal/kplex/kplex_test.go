@@ -1,6 +1,7 @@
 package kplex
 
 import (
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -206,26 +207,70 @@ func greedyReference(g *graph.Graph, k int) []int {
 	return best
 }
 
+// checkGreedyMatchesReference fails t unless Greedy returns exactly
+// greedyReference's set on g.
+func checkGreedyMatchesReference(t *testing.T, g *graph.Graph, k int) {
+	t.Helper()
+	want := greedyReference(g, k)
+	got := Greedy(g, k)
+	if len(got) != len(want) {
+		t.Fatalf("%v k=%d: Greedy %v, reference %v", g, k, got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("%v k=%d: Greedy %v, reference %v", g, k, got, want)
+		}
+	}
+}
+
 func TestGreedyMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	for trial := 0; trial < 30; trial++ {
 		n := 1 + rng.Intn(16)
 		g := graph.Gnp(n, 0.15+rng.Float64()*0.7, rng.Int63())
 		for k := 1; k <= 4; k++ {
-			want := greedyReference(g, k)
-			got := Greedy(g, k)
-			if len(got) != len(want) {
-				t.Fatalf("n=%d k=%d: Greedy %v, reference %v", n, k, got, want)
-			}
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("n=%d k=%d: Greedy %v, reference %v", n, k, got, want)
-				}
-			}
+			checkGreedyMatchesReference(t, g, k)
 		}
 	}
 	if got := Greedy(graph.New(0), 2); len(got) != 0 {
 		t.Errorf("empty graph: Greedy = %v, want empty", got)
+	}
+}
+
+// TestGreedyMatchesReferenceSparse pins Greedy's frontier scan on the
+// inputs it was written for: expected degree 0.5-4, so most growth steps
+// see a small frontier and many seeds an empty one; isolated vertices,
+// including the highest index, which exercise the lowest-index fallback
+// while |P| < k; k > n, where every vertex is feasible; and n past 64,
+// so rows and the frontier span several words.
+func TestGreedyMatchesReferenceSparse(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	sizes := []int{1, 2, 3, 5, 8, 63, 64, 65, 129, 130}
+	for trial := 0; trial < 20; trial++ {
+		sizes = append(sizes, 4+rng.Intn(120))
+	}
+	for _, n := range sizes {
+		d := 0.5 + 3.5*rng.Float64()
+		p := 0.0
+		if n > 1 {
+			p = math.Min(1, d/float64(n-1))
+		}
+		g := graph.Gnp(n, p, rng.Int63())
+		if rng.Intn(2) == 0 {
+			for u := 0; u < n-1; u++ {
+				g.RemoveEdge(n-1, u)
+			}
+		}
+		ks := []int{1, 2, 3, 4}
+		if n <= 8 {
+			ks = append(ks, n+2)
+		}
+		for _, k := range ks {
+			checkGreedyMatchesReference(t, g, k)
+		}
+	}
+	for _, k := range []int{1, 2, 3} {
+		checkGreedyMatchesReference(t, graph.New(70), k)
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/api"
 	"repro/internal/core"
+	"repro/internal/graph"
 	"repro/internal/kplex"
 	"repro/internal/obs"
 )
@@ -27,6 +28,13 @@ func Execute(ctx context.Context, req *api.SolveRequest, ob obs.Obs) (*api.Solve
 	if err != nil {
 		return nil, err
 	}
+	return execute(ctx, req, g, ob)
+}
+
+// execute is Execute on the request's already built graph g, so the
+// daemon, which builds g once for the canonical form, does not build it
+// again on a cache miss.
+func execute(ctx context.Context, req *api.SolveRequest, g *graph.Graph, ob obs.Obs) (*api.SolveResult, error) {
 	seed := effectiveSeed(req)
 	out := &api.SolveResult{V: api.Version, Algo: req.Algo, K: req.K}
 	switch req.Algo {

@@ -39,6 +39,7 @@ import (
 	"repro/internal/api"
 	"repro/internal/canon"
 	"repro/internal/core"
+	"repro/internal/graph"
 	"repro/internal/obs"
 )
 
@@ -127,9 +128,10 @@ type Server struct {
 	cache  *resultCache
 	traces *traceRing
 
-	// execFn is the solve dispatcher; tests substitute stubs to drive
-	// admission and shutdown without real solver work.
-	execFn func(context.Context, *api.SolveRequest, obs.Obs) (*api.SolveResult, error)
+	// execFn is the solve dispatcher, handed the graph solve already
+	// built; tests substitute stubs to drive admission and shutdown
+	// without real solver work.
+	execFn func(context.Context, *api.SolveRequest, *graph.Graph, obs.Obs) (*api.SolveResult, error)
 }
 
 // New builds a Server from cfg.
@@ -142,7 +144,7 @@ func New(cfg Config) *Server {
 		sem:     make(chan struct{}, cfg.MaxInflight),
 		cache:   newResultCache(cfg.CacheEntries),
 		traces:  newTraceRing(cfg.TraceEntries),
-		execFn:  Execute,
+		execFn:  execute,
 	}
 	s.hardCtx, s.hardStop = context.WithCancel(context.Background())
 	s.mux.HandleFunc("POST /v1/solve", s.handleSolve)
@@ -340,7 +342,7 @@ func (s *Server) solve(ctx context.Context, req *api.SolveRequest, ob obs.Obs) (
 		}
 		s.metrics.Add("server.cache.misses", 1)
 	}
-	res, err := s.execFn(ctx, req, ob)
+	res, err := s.execFn(ctx, req, g, ob)
 	if err == nil && res != nil && !req.NoCache {
 		stored := res.Clone()
 		remapSets(stored, func(set []int) []int {

@@ -163,7 +163,7 @@ func TestAdmissionControl(t *testing.T) {
 	gate := make(chan struct{})
 	started := make(chan struct{}, 8)
 	s := New(Config{MaxInflight: 1, QueueDepth: 1})
-	s.execFn = func(ctx context.Context, req *api.SolveRequest, ob obs.Obs) (*api.SolveResult, error) {
+	s.execFn = func(ctx context.Context, req *api.SolveRequest, g *graph.Graph, ob obs.Obs) (*api.SolveResult, error) {
 		started <- struct{}{}
 		<-gate
 		return &api.SolveResult{V: api.Version, Algo: req.Algo, K: req.K}, nil
@@ -403,7 +403,7 @@ func TestErrorTaxonomyOverHTTP(t *testing.T) {
 		t.Errorf("infeasible: status %d kind %q, want 200 %q", status, res.ErrorKind, api.KindInfeasible)
 	}
 	// Deadline → 408 with the canceled kind.
-	s.execFn = func(ctx context.Context, req *api.SolveRequest, ob obs.Obs) (*api.SolveResult, error) {
+	s.execFn = func(ctx context.Context, req *api.SolveRequest, g *graph.Graph, ob obs.Obs) (*api.SolveResult, error) {
 		<-ctx.Done()
 		return &api.SolveResult{V: api.Version, Algo: req.Algo, K: req.K, Size: 1, Set: []int{1}},
 			fmt.Errorf("probe: %w", core.ErrCanceled)
@@ -464,7 +464,7 @@ func TestGracefulShutdown(t *testing.T) {
 	before := runtime.NumGoroutine()
 	s := New(Config{DrainTimeout: 150 * time.Millisecond})
 	inflight := make(chan struct{})
-	s.execFn = func(ctx context.Context, req *api.SolveRequest, ob obs.Obs) (*api.SolveResult, error) {
+	s.execFn = func(ctx context.Context, req *api.SolveRequest, g *graph.Graph, ob obs.Obs) (*api.SolveResult, error) {
 		close(inflight)
 		<-ctx.Done() // holds until the drain deadline cancels solve contexts
 		return &api.SolveResult{V: api.Version, Algo: req.Algo, K: req.K, Size: 2, Set: []int{1, 2}},
