@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build fmt-check vet lint lint-json lint-sarif lint-baseline lint-concurrency vulncheck test race race-bb race-server bench-smoke bench-e2e-smoke bench-json bench-serve serve-smoke obs-smoke fuzz-smoke ci
+.PHONY: build fmt-check vet lint lint-json lint-sarif lint-baseline lint-concurrency vulncheck test race race-bb race-server bench-smoke bench-e2e-smoke bench-json bench-serve serve-smoke obs-smoke paper-gate-check fuzz-smoke ci
 
 build:
 	$(GO) build ./...
@@ -150,6 +150,24 @@ obs-smoke:
 	cmp OBS_METRICS.json /tmp/obs-metrics.w8.json
 	@echo "obs-smoke: trace and metrics bit-identical at 1 and 8 workers"
 
+# The paper's gate-model outputs, pinned: Fig. 9 and Tables II-IV
+# regenerated at full budgets (about 1 s) must match their sections of
+# the checked-in experiments_output.txt line for line. Only the
+# wall-clock lines are dropped before the diff: "(... regenerated in
+# ...)" and the timed BS baseline row. Measured masks, sample counts,
+# sizes, modelled QPU times, error probabilities and gate shares all
+# stay in.
+paper-gate-check:
+	@tmp="$$(mktemp -d)"; trap 'rm -rf "$$tmp"' EXIT; \
+	$(GO) run ./cmd/experiments -exp fig9,table2,table3,table4 > "$$tmp/got" || exit 1; \
+	awk '/^== [a-z0-9]+: /{ id = $$2; sub(/:$$/, "", id); keep = (id == "fig9" || id == "table2" || id == "table3" || id == "table4") } keep' \
+		experiments_output.txt > "$$tmp/want"; \
+	wallclock='^\(.* regenerated in .*\)$$|^BS \(µs\) '; \
+	grep -Ev "$$wallclock" "$$tmp/want" > "$$tmp/want.pinned"; \
+	grep -Ev "$$wallclock" "$$tmp/got" > "$$tmp/got.pinned"; \
+	diff -u "$$tmp/want.pinned" "$$tmp/got.pinned" && \
+	echo "paper-gate-check: Fig. 9 and Tables II-IV match experiments_output.txt"
+
 # Short randomized runs of the native fuzz targets (the checked-in seed
 # corpora always run as part of `make test`).
 fuzz-smoke:
@@ -158,5 +176,6 @@ fuzz-smoke:
 	$(GO) test ./internal/bitvec/ -fuzz FuzzBitVec -fuzztime 5s
 	$(GO) test ./internal/graph/ -fuzz FuzzGraphRead -fuzztime 5s
 	$(GO) test ./internal/oracle/ -run FuzzFastOracle -fuzz FuzzFastOracle -fuzztime 5s
+	$(GO) test ./internal/grover/ -run FuzzGroverPlane -fuzz FuzzGroverPlane -fuzztime 5s
 
-ci: build fmt-check vet lint lint-concurrency test race race-bb race-server bench-smoke bench-e2e-smoke obs-smoke serve-smoke
+ci: build fmt-check vet lint lint-concurrency test race race-bb race-server bench-smoke bench-e2e-smoke obs-smoke paper-gate-check serve-smoke

@@ -132,7 +132,7 @@ func runTKP(ctx context.Context, g *graph.Graph, orc *oracle.Oracle, o GateOptio
 	}
 	// The 2^n sweep fans out over the internal/parallel worker pool
 	// (semantic word arithmetic when the oracle's fast path is on); the
-	// cached table then serves the Grover engine's parallel phase oracle
+	// cached table then serves the Grover engine's one marked-set sweep
 	// as a plain (concurrent-safe) lookup.
 	tt := orc.TruthTable()
 	m := 0

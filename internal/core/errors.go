@@ -13,8 +13,8 @@ var (
 	ErrBadSpec = errors.New("core: bad solve spec")
 
 	// ErrTooLarge marks an instance beyond the gate-model simulator's
-	// capacity (n > MaxGateVertices vertex qubits of dense
-	// statevector). The annealing path has no such cap.
+	// capacity (n > MaxGateVertices vertex qubits: each probe sweeps the
+	// oracle over all 2^n subsets). The annealing path has no such cap.
 	ErrTooLarge = errors.New("core: instance too large for the gate simulator")
 
 	// ErrInfeasible marks a QTKP probe that verified absence: no

@@ -26,10 +26,12 @@ const (
 	AlgoAnneal Algo = "qamkp"
 )
 
-// MaxGateVertices caps the gate-model entry points: the Grover engine
-// holds a dense 2^n statevector over the vertex register, so 24
-// vertices (256 MiB of amplitudes) is the practical ceiling. Larger
-// instances return ErrTooLarge; the annealing path has no such cap.
+// MaxGateVertices caps the gate-model entry points. The Grover engine
+// itself holds only two amplitudes and a 2^n-bit marked set (3 MiB at
+// 24 vertices), but every probe still sweeps the oracle predicate over
+// all 2^n subsets, and Engine.State's on-demand dense copy costs 16·2^n
+// bytes, so 24 vertices is the practical ceiling. Larger instances
+// return ErrTooLarge; the annealing path has no such cap.
 const MaxGateVertices = 24
 
 // Spec is a solve request. Exactly the fields relevant to Algo are
@@ -85,7 +87,7 @@ func gateSpecCheck(g *graph.Graph, k int) (int, error) {
 		return 0, fmt.Errorf("core: k=%d out of range [1,%d]: %w", k, n, ErrBadSpec)
 	}
 	if n > MaxGateVertices {
-		return 0, fmt.Errorf("core: n=%d exceeds the %d-vertex statevector cap: %w", n, MaxGateVertices, ErrTooLarge)
+		return 0, fmt.Errorf("core: n=%d exceeds the %d-vertex gate-model cap: %w", n, MaxGateVertices, ErrTooLarge)
 	}
 	return n, nil
 }
@@ -211,15 +213,17 @@ func SolveMKP(ctx context.Context, g *graph.Graph, spec Spec) (MKPResult, error)
 
 	lo, hi := 1, n
 	if o.UseClassicalBounds {
-		lb := kplex.LowerBound(g, k)
-		if lb > lo {
-			lo = lb // a certified k-plex of this size exists
+		// One greedy run gives both the lower bound (kplex.LowerBound is
+		// its size) and the witness behind it.
+		set := kplex.Greedy(g, k)
+		if len(set) > lo {
+			lo = len(set) // a certified k-plex of this size exists
 		}
 		if ub := kplex.UpperBound(g, k); ub < hi {
 			hi = ub
 		}
 		// The greedy witness itself is a valid answer if no probe beats it.
-		if set := kplex.Greedy(g, k); len(set) > out.Size {
+		if len(set) > out.Size {
 			out.Set = set
 			out.Size = len(set)
 			if tr.Enabled() {

@@ -1,8 +1,17 @@
 // Package grover implements Grover search (Algorithm 1 of the paper) over
-// the hybrid simulator: a dense statevector on the n vertex qubits with
-// the oracle evaluated as an exact ±1 phase per basis state (see
-// internal/oracle and DESIGN.md for why this is gate-for-gate equivalent
-// to simulating the full circuit).
+// the hybrid simulator, with the oracle evaluated as an exact ±1 phase per
+// basis state (see internal/oracle and DESIGN.md for why this is
+// gate-for-gate equivalent to simulating the full circuit).
+//
+// Because that phase is diagonal and the search starts from the uniform
+// superposition, every marked basis state keeps one shared amplitude and
+// every unmarked state another: the state never leaves the plane spanned
+// by the uniform marked and unmarked superpositions, the two-dimensional
+// picture behind BBHT (Boyer et al.). The engine therefore simulates
+// exactly two real amplitudes plus the marked set, found by one sweep of
+// the predicate over the 2^n basis states. An iteration is O(1), a
+// measurement O(n); the dense 2^n statevector exists only on demand
+// (Engine.State) and in the tests, which pin the plane against it.
 //
 // It also provides the two companions the paper relies on: quantum
 // counting (Brassard et al.) to estimate the number of solutions M, and
@@ -13,7 +22,9 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
+	"sort"
 
 	"repro/internal/obs"
 	"repro/internal/parallel"
@@ -21,14 +32,93 @@ import (
 )
 
 // Predicate reports whether a basis state is a solution. Implementations
-// must be deterministic and safe for concurrent use: the phase oracle and
-// the counting loops evaluate basis states from parallel workers.
-// Truth-table lookups and pure functions qualify.
+// must be deterministic and safe for concurrent use: the marked-set sweep
+// evaluates basis states from parallel workers. Truth-table lookups and
+// pure functions qualify.
 type Predicate func(mask uint64) bool
 
-// basisGrain chunks per-basis-state fan-outs (success-probability sums,
-// counting columns); registers of ≤ 2^10 states stay serial.
+// basisGrain chunks per-basis-state fan-outs (the predicate sweep, the
+// dense State copy); registers of ≤ 2^10 states stay serial.
 const basisGrain = 1 << 10
+
+// markedSet is the predicate's solution set over the 2^n basis states,
+// packed one bit per state (bit i&63 of word i>>6), with the number of
+// marked states before each word so rank queries are O(1). Its size does
+// not depend on the number of solutions: 3 MiB at n = 24.
+type markedSet struct {
+	dim    int      // 2^n basis states
+	words  []uint64 // membership bits
+	before []uint32 // before[w] = marked states in words[:w]
+	count  int      // M, the number of marked states
+}
+
+// sweepMarked evaluates pred once on every basis state of an n-qubit
+// register. Chunks are whole words, so every word is written by exactly
+// one worker and the bits are identical at any worker count; the
+// prefix counts are a serial integer pass.
+func sweepMarked(n int, pred Predicate) markedSet {
+	if n < 1 || n > qsim.MaxStatevectorQubits {
+		panic(fmt.Sprintf("grover: register width %d out of [1,%d]", n, qsim.MaxStatevectorQubits))
+	}
+	dim := 1 << uint(n)
+	s := markedSet{dim: dim, words: make([]uint64, (dim+63)/64)}
+	s.before = make([]uint32, len(s.words))
+	parallel.For(len(s.words), basisGrain/64, func(lo, hi int) {
+		for w := lo; w < hi; w++ {
+			base := w << 6
+			var word uint64
+			for b := 0; b < 64 && base+b < dim; b++ {
+				if pred(uint64(base + b)) {
+					word |= 1 << uint(b)
+				}
+			}
+			s.words[w] = word
+		}
+	})
+	for w, word := range s.words {
+		s.before[w] = uint32(s.count)
+		s.count += bits.OnesCount64(word)
+	}
+	return s
+}
+
+// has reports whether basis state i is marked.
+func (s *markedSet) has(i int) bool {
+	return s.words[i>>6]&(1<<uint(i&63)) != 0
+}
+
+// rank returns the number of marked states in [0, i].
+func (s *markedSet) rank(i int) int {
+	w := i >> 6
+	return int(s.before[w]) + bits.OnesCount64(s.words[w]<<uint(63-i&63))
+}
+
+// last returns the highest basis state whose membership equals marked,
+// or -1 if there is none.
+func (s *markedSet) last(marked bool) int {
+	for w := len(s.words) - 1; w >= 0; w-- {
+		word := s.words[w]
+		if !marked {
+			word = ^word
+			if top := s.dim - w<<6; top < 64 {
+				word &= 1<<uint(top) - 1 // bits past the register are not states
+			}
+		}
+		if word != 0 {
+			return w<<6 + 63 - bits.LeadingZeros64(word)
+		}
+	}
+	return -1
+}
+
+// groverStep applies one Grover iteration to the plane amplitudes of m
+// marked and dim−m unmarked basis states: the oracle flips the marked
+// sign, then diffusion reflects both about the mean amplitude (Fig. 4b/4c).
+func groverStep(am, au float64, m, dim int) (float64, float64) {
+	am = -am
+	mean := (float64(m)*am + float64(dim-m)*au) / float64(dim)
+	return 2*mean - am, 2*mean - au
+}
 
 // Stats accumulates the cost accounting of a search.
 type Stats struct {
@@ -37,38 +127,60 @@ type Stats struct {
 	Gates       int64 // total gates executed (oracle + diffusion), modelled
 }
 
-// Engine drives Grover iterations for one fixed oracle.
+// Engine drives Grover iterations for one fixed oracle. It holds the
+// state in its invariant plane: am is the amplitude every marked basis
+// state shares and au the one every unmarked state shares, so the
+// simulated register is exactly the dense 2^n statevector with those two
+// values, at O(1) cost per iteration. The gate ledger is that of the
+// full circuit.
 type Engine struct {
 	n      int
-	pred   Predicate
-	sv     *qsim.Statevector
+	marked markedSet
+	am, au float64
 	stats  Stats
 	perOrc int64 // gates per oracle call
 	perDif int64 // gates per diffusion application
 }
 
-// NewEngine prepares the equal superposition of 2^n states (Fig. 4a).
-// gatesPerOracle is the gate cost of one oracle call, used for modelled
-// QPU-time accounting (pass 0 if irrelevant).
+// NewEngine sweeps pred over the 2^n basis states once and prepares the
+// equal superposition (Fig. 4a). gatesPerOracle is the gate cost of one
+// oracle call, used for modelled QPU-time accounting (pass 0 if
+// irrelevant). n must lie in [1, qsim.MaxStatevectorQubits], the widths
+// State can copy out.
 func NewEngine(n int, pred Predicate, gatesPerOracle int64) *Engine {
 	e := &Engine{
 		n:      n,
-		pred:   pred,
-		sv:     qsim.NewStatevector(n),
+		marked: sweepMarked(n, pred),
 		perOrc: gatesPerOracle,
 		// Diffusion as H^⊗n X^⊗n C^{n-1}Z X^⊗n H^⊗n: 4n+1 gates.
 		perDif: int64(4*n + 1),
 	}
-	e.sv.EqualSuperposition()
-	e.stats.Gates += int64(n) // the initial H layer
+	e.Reset() // the initial H layer
 	return e
 }
 
 // N returns the register width.
 func (e *Engine) N() int { return e.n }
 
-// State exposes the simulated statevector (read-only use intended).
-func (e *Engine) State() *qsim.Statevector { return e.sv }
+// State returns a dense copy of the simulated register: 2^n amplitudes,
+// am on every marked basis state and au on every other. It costs O(2^n)
+// time and memory per call and is meant for whole-distribution views
+// such as Fig. 9's shot sampling; searching never builds it.
+func (e *Engine) State() *qsim.Statevector {
+	sv := qsim.NewStatevector(e.n)
+	amp := sv.Amplitudes()
+	cm, cu := complex(e.am, 0), complex(e.au, 0)
+	parallel.For(len(amp), basisGrain, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			if e.marked.has(i) {
+				amp[i] = cm
+			} else {
+				amp[i] = cu
+			}
+		}
+	})
+	return sv
+}
 
 // Stats returns a copy of the cost counters.
 func (e *Engine) Stats() Stats { return e.stats }
@@ -77,39 +189,54 @@ func (e *Engine) Stats() Stats { return e.stats }
 // Fig. 4b/4c).
 func (e *Engine) Iterate(k int) {
 	for i := 0; i < k; i++ {
-		e.sv.ApplyPhaseOracle(e.pred)
-		e.sv.ApplyDiffusion()
+		e.am, e.au = groverStep(e.am, e.au, e.marked.count, e.marked.dim)
 		e.stats.Iterations++
 		e.stats.OracleCalls++
 		e.stats.Gates += e.perOrc + e.perDif
 	}
 }
 
-// SuccessProbability returns the total probability mass on solution states.
-// The sum is chunk-ordered (see internal/parallel), so it is bit-identical
-// at any worker count.
+// SuccessProbability returns the total probability mass on solution
+// states, M·am².
 func (e *Engine) SuccessProbability() float64 {
-	amp := e.sv.Amplitudes()
-	return parallel.Sum(len(amp), basisGrain, func(lo, hi int) float64 {
-		var p float64
-		for i := lo; i < hi; i++ {
-			if e.pred(uint64(i)) {
-				a := amp[i]
-				p += real(a)*real(a) + imag(a)*imag(a)
-			}
-		}
-		return p
-	})
+	return float64(e.marked.count) * e.am * e.am
 }
 
-// Measure samples one basis state.
+// Measure samples one basis state. It draws one uniform r, as a dense
+// measurement does, and returns the first basis state i whose cumulative
+// probability c(i)·am² + (i+1−c(i))·au² exceeds r, where c(i) counts
+// the marked states ≤ i; the cumulative is monotone, so a binary search
+// finds it. If rounding leaves r past the total, it falls back to the
+// last basis state with nonzero probability, never to a zero-amplitude
+// state, which a measurement cannot produce.
 func (e *Engine) Measure(rng *rand.Rand) uint64 {
-	return e.sv.Measure(rng)
+	r := rng.Float64()
+	pm, pu := e.am*e.am, e.au*e.au
+	dim := e.marked.dim
+	i := sort.Search(dim, func(i int) bool {
+		c := e.marked.rank(i)
+		return r < float64(c)*pm+float64(i+1-c)*pu
+	})
+	if i < dim {
+		return uint64(i)
+	}
+	last := -1
+	if pm > 0 {
+		last = e.marked.last(true)
+	}
+	if pu > 0 {
+		last = max(last, e.marked.last(false))
+	}
+	if last >= 0 {
+		return uint64(last)
+	}
+	return uint64(dim - 1)
 }
 
-// Reset restores the equal superposition.
+// Reset restores the equal superposition, one H layer of n gates.
 func (e *Engine) Reset() {
-	e.sv.EqualSuperposition()
+	e.am = 1 / math.Sqrt(float64(e.marked.dim))
+	e.au = e.am
 	e.stats.Gates += int64(e.n)
 }
 
@@ -149,8 +276,8 @@ func Search(n int, pred Predicate, m int, gatesPerOracle int64, maxTries int, rn
 }
 
 // SearchObs is Search under a context and the observability carrier.
-// Cancellation is checked at try boundaries — a statevector iteration
-// batch is never abandoned half way, so the accumulated Stats stay
+// Cancellation is checked at try boundaries — an iteration batch is
+// never abandoned half way, so the accumulated Stats stay
 // meaningful — and reported by wrapping ctx.Err(). Each try emits one
 // span carrying the iteration count and, on End, the measured mask and
 // verification outcome; emission happens on the calling goroutine, so
@@ -219,11 +346,11 @@ func bbhtDraw(rng *rand.Rand, m float64) int {
 
 // SearchUnknown runs the BBHT exponential search for an unknown solution
 // count: iterate j ~ Uniform[0, m) Grover steps with m growing
-// geometrically (factor 6/5), measure, verify. It stops after the
-// unsuccessful-budget bound of ~(9/4)·√N total iterations, which certifies
-// "no solution" with constant error probability; we then do one exhaustive
-// confirmation sweep of the predicate mass to make the answer exact (the
-// simulator affords it).
+// geometrically (factor 6/5), measure, verify. It gives up once the
+// iterations spent reach 3·√N, above BBHT's (9/4)·√N budget, and reports
+// Found = false. That "no solution" verdict is wrong only with the
+// constant probability BBHT's analysis bounds; callers that need exact
+// absence count M classically, as core does from the truth table.
 func SearchUnknown(n int, pred Predicate, gatesPerOracle int64, rng *rand.Rand) Result {
 	e := NewEngine(n, pred, gatesPerOracle)
 	space := math.Pow(2, float64(n))
@@ -253,86 +380,50 @@ func SearchUnknown(n int, pred Predicate, gatesPerOracle int64, rng *rand.Rand) 
 // CountMarked estimates the number of solutions by quantum counting
 // (Brassard–Høyer–Tapp): phase estimation with t counting qubits over the
 // Grover operator G, whose eigenphases ±2θ satisfy sin²θ = M/N. The full
-// (t+n)-qubit state is simulated exactly: Ψ[a] = G^a|s⟩/√2^t followed by
-// an inverse QFT over the counting register.
+// (t+n)-qubit state Ψ[a][s] = (G^a|s⟩)_s/√2^t is simulated exactly, in
+// the plane: its 2^n columns take only two distinct values, the marked
+// and the unmarked amplitude sequence. The inverse QFT over the counting
+// register therefore runs on those two length-2^t columns, and each
+// outcome's probability weights them by M and N−M. Memory is O(2^t)
+// plus the engine's marked set, not O(2^(t+n)).
 func CountMarked(n, t int, pred Predicate) (float64, error) {
 	if t < 1 || t > 14 {
 		return 0, fmt.Errorf("grover: counting register width %d out of [1,14]", t)
 	}
-	dim := 1 << uint(n)
+	marked := sweepMarked(n, pred)
+	dim, m := marked.dim, marked.count
 	ticks := 1 << uint(t)
 
-	// cur = G^a |s>, walked incrementally.
-	cur := qsim.NewStatevector(n)
-	cur.EqualSuperposition()
-
-	// psi[a][s] amplitudes, stored per counting value a.
-	psi := make([][]complex128, ticks)
-	norm := complex(1/math.Sqrt(float64(ticks)), 0)
+	// colM[a], colU[a]: the marked and unmarked amplitudes of G^a|s⟩,
+	// walked incrementally and scaled by the counting register's 1/√2^t.
+	colM := make([]complex128, ticks)
+	colU := make([]complex128, ticks)
+	norm := 1 / math.Sqrt(float64(ticks))
+	am := 1 / math.Sqrt(float64(dim))
+	au := am
 	for a := 0; a < ticks; a++ {
-		amp := cur.Amplitudes()
-		row := make([]complex128, dim)
-		for s := range amp {
-			row[s] = amp[s] * norm
-		}
-		psi[a] = row
+		colM[a] = complex(am*norm, 0)
+		colU[a] = complex(au*norm, 0)
 		if a < ticks-1 {
-			cur.ApplyPhaseOracle(pred)
-			cur.ApplyDiffusion()
+			am, au = groverStep(am, au, m, dim)
 		}
 	}
-
-	// Inverse QFT over the counting index for each system basis state,
-	// i.e. an inverse DFT of the length-2^t column vectors. Columns are
-	// independent, so they fan out over workers, each with its own column
-	// scratch; a worker writes only its own columns s of the shared rows.
-	parallel.ForScratch(dim, columnGrain(ticks),
-		func() []complex128 { return make([]complex128, ticks) },
-		func(col []complex128, lo, hi int) {
-			for s := lo; s < hi; s++ {
-				for a := 0; a < ticks; a++ {
-					col[a] = psi[a][s]
-				}
-				inverseDFT(col)
-				for a := 0; a < ticks; a++ {
-					psi[a][s] = col[a]
-				}
-			}
-		})
+	inverseDFT(colM)
+	inverseDFT(colU)
 
 	// Measurement distribution over the counting register; take the MAP
-	// outcome. Each tick's mass is a serial sum over its row, ticks fan
-	// out over workers, and the argmax scan stays serial — deterministic
-	// at any worker count.
-	probs := make([]float64, ticks)
-	parallel.For(ticks, 1, func(lo, hi int) {
-		for a := lo; a < hi; a++ {
-			var p float64
-			for _, c := range psi[a] {
-				p += real(c)*real(c) + imag(c)*imag(c)
-			}
-			probs[a] = p
-		}
-	})
+	// outcome (the first on ties).
 	bestA, bestP := 0, -1.0
-	for a, p := range probs {
+	for a := range colM {
+		cm, cu := colM[a], colU[a]
+		p := float64(m)*(real(cm)*real(cm)+imag(cm)*imag(cm)) +
+			float64(dim-m)*(real(cu)*real(cu)+imag(cu)*imag(cu))
 		if p > bestP {
 			bestA, bestP = a, p
 		}
 	}
 	theta := math.Pi * float64(bestA) / float64(ticks)
-	m := float64(dim) * math.Pow(math.Sin(theta), 2)
-	return m, nil
-}
-
-// columnGrain sizes the counting fan-out chunks so one chunk is roughly
-// basisGrain complex values of DFT work, keeping tiny registers serial.
-func columnGrain(ticks int) int {
-	g := basisGrain / ticks
-	if g < 1 {
-		return 1
-	}
-	return g
+	return float64(dim) * math.Pow(math.Sin(theta), 2), nil
 }
 
 // inverseDFT applies the unitary inverse DFT in place (radix-2

@@ -1,7 +1,7 @@
 // Package parallel is the deterministic worker-pool substrate behind the
-// reproduction's hot loops: the 2^n oracle truth-table sweep, the dense
-// statevector amplitude kernels, the shots×sweeps annealing loops and the
-// quantum-counting inverse-DFT columns.
+// reproduction's hot loops: the 2^n oracle truth-table sweep, the Grover
+// engine's 2^n marked-set sweep, the dense statevector amplitude kernels
+// and the shots×sweeps annealing loops.
 //
 // Determinism is a hard contract: for a fixed seed, results are
 // bit-identical regardless of the worker count. Three rules enforce it:

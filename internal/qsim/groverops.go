@@ -6,9 +6,12 @@ import (
 	"repro/internal/parallel"
 )
 
-// Operations used by the Grover engine when the register holds only the
-// n vertex qubits and the oracle's ancilla work is executed classically
-// per basis state (see package comment and DESIGN.md).
+// Dense Grover operations on a register of only the n vertex qubits, with
+// the oracle's ancilla work executed classically per basis state (see
+// package comment and DESIGN.md). The production engine (internal/grover)
+// runs in the equivalent two-amplitude plane; these kernels remain the
+// dense reference its tests pin it against and the ablation benchmarks
+// time.
 
 // ApplyPhaseOracle multiplies the amplitude of every basis state for which
 // marked returns true by -1. This is exactly the effect of the paper's
