@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build fmt-check vet lint lint-json lint-sarif lint-baseline lint-concurrency vulncheck test race race-bb race-server bench-smoke bench-e2e-smoke bench-json bench-serve serve-smoke obs-smoke paper-gate-check fuzz-smoke ci
+.PHONY: build fmt-check vet lint lint-json lint-sarif lint-baseline lint-concurrency vulncheck test race race-bb race-server bench-smoke bench-e2e-smoke bench-json serve-smoke obs-smoke paper-gate-check fuzz-smoke ci
 
 build:
 	$(GO) build ./...
@@ -125,16 +125,7 @@ race-server:
 # on /debug/vars and the /v1/trace download checked along the way.
 serve-smoke:
 	$(GO) build -o /tmp/qmkpd-smoke ./cmd/qmkpd
-	$(GO) run ./cmd/qmkp-load -mode smoke -spawn /tmp/qmkpd-smoke
-
-# Seeded service load: relabelled resubmissions over a handful of Gnm
-# instances through the live daemon; writes p50/p90/p99 latency and the
-# cache hit rate to BENCH_ISSUE10.json (the checked-in service numbers).
-bench-serve:
-	$(GO) build -o /tmp/qmkpd-bench ./cmd/qmkpd
-	$(GO) run ./cmd/qmkp-load -mode load -spawn /tmp/qmkpd-bench \
-		-n 60 -instances 6 -conc 8 -out BENCH_ISSUE10.json
-	@cat BENCH_ISSUE10.json
+	$(GO) run ./cmd/qmkp-load -spawn /tmp/qmkpd-smoke
 
 # Observability smoke: one seeded qMKP solve, traced twice at different
 # worker counts. The span/event stream and the metrics snapshot must be

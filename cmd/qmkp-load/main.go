@@ -1,28 +1,13 @@
-// Command qmkp-load drives a running (or freshly spawned) qmkpd with a
-// seeded workload and reports service-level numbers: p50/p90/p99 solve
-// latency and the result-cache hit rate, written as one JSON document
-// (BENCH_ISSUE10.json in the checked-in benchmark run).
-//
-// Modes:
-//
-//	-mode load   N requests over I distinct seeded Gnm instances, each
-//	             request a fresh random relabelling of its instance —
-//	             so after the first cycle most requests are served from
-//	             the canonical-hash cache, and the report separates
-//	             cold-solve from cache-hit latency.
-//	-mode smoke  the CI end-to-end check: stream one known instance,
-//	             assert the event feed ends in a final frame with the
-//	             expected optimum, resubmit a relabelling and assert it
-//	             is answered from the cache with a valid k-plex, then
-//	             check /debug/vars and the trace download.
+// Command qmkp-load is the service smoke check: it drives a running (or
+// freshly spawned) qmkpd end to end and fails loudly on any deviation.
+// It streams one known instance and asserts the event feed ends in a
+// final frame with the expected optimum, resubmits a relabelling and
+// asserts it is answered from the cache with a valid k-plex, then checks
+// /debug/vars and the trace download. A small JSON report goes to -out.
 //
 // -spawn starts the given qmkpd binary on a free loopback port for the
-// duration of the run (the CI path; `make serve-smoke`).
-//
-// Concurrency: requests fan out through internal/parallel's
-// deterministic chunking — per-request latencies land in chunk-disjoint
-// slots — so the tool follows the same concurrency policy as the rest
-// of the tree (no raw goroutines).
+// duration of the run (the CI path; `make serve-smoke`). Service latency
+// and throughput are measured by the benchmark under _bench/.
 package main
 
 import (
@@ -42,7 +27,6 @@ import (
 
 	"repro/internal/api"
 	"repro/internal/graph"
-	"repro/internal/parallel"
 )
 
 func main() {
@@ -54,18 +38,13 @@ func main() {
 
 func run() error {
 	var (
-		mode      = flag.String("mode", "load", "load | smoke")
 		base      = flag.String("addr", "http://127.0.0.1:7477", "base URL of a running qmkpd (ignored with -spawn)")
 		spawnBin  = flag.String("spawn", "", "path to a qmkpd binary to start on a free loopback port for this run")
-		algo      = flag.String("algo", "bb", "wire algorithm for generated requests")
+		algo      = flag.String("algo", "bb", "wire algorithm of the requests")
 		k         = flag.Int("k", 2, "k-plex parameter")
-		gen       = flag.String("gen", "100,300", "load: Gnm instance shape n,m")
-		requests  = flag.Int("n", 40, "load: total requests")
-		instances = flag.Int("instances", 8, "load: distinct underlying instances (requests cycle over them, relabelled)")
-		workers   = flag.Int("conc", 8, "concurrent client workers")
-		seed      = flag.Int64("seed", 1, "workload seed")
-		graphFile = flag.String("graph", "internal/graph/testdata/gnm100.clq", "smoke: instance file")
-		expect    = flag.Int("expect", 5, "smoke: expected optimum size (0 = don't check)")
+		seed      = flag.Int64("seed", 1, "request seed")
+		graphFile = flag.String("graph", "internal/graph/testdata/gnm100.clq", "instance file")
+		expect    = flag.Int("expect", 5, "expected optimum size (0 = don't check)")
 		out       = flag.String("out", "", "write the JSON report here ('' or '-' = stdout)")
 	)
 	flag.Parse()
@@ -82,16 +61,7 @@ func run() error {
 		return err
 	}
 
-	var report any
-	var err error
-	switch *mode {
-	case "smoke":
-		report, err = smoke(*base, *graphFile, *algo, *k, *expect, *seed)
-	case "load":
-		report, err = load(*base, *algo, *k, *gen, *requests, *instances, *workers, *seed)
-	default:
-		return fmt.Errorf("unknown -mode %q", *mode)
-	}
+	report, err := smoke(*base, *graphFile, *algo, *k, *expect, *seed)
 	if err != nil {
 		return err
 	}
@@ -346,7 +316,6 @@ func smoke(base, graphFile, algo string, k, expect int, seed int64) (any, error)
 		return nil, fmt.Errorf("smoke: server.cache.hits = %d, want ≥ 1", counters["server.cache.hits"])
 	}
 	return map[string]any{
-		"mode":       "smoke",
 		"graph":      graphFile,
 		"algo":       algo,
 		"k":          k,
@@ -354,104 +323,5 @@ func smoke(base, graphFile, algo string, k, expect int, seed int64) (any, error)
 		"events":     len(events),
 		"cache_hits": counters["server.cache.hits"],
 		"ok":         true,
-	}, nil
-}
-
-// load runs the seeded workload and reports latency percentiles and
-// the cache hit rate.
-func load(base, algo string, k int, gen string, requests, instances, workers int, seed int64) (any, error) {
-	var n, m int
-	if _, err := fmt.Sscanf(strings.ReplaceAll(gen, " ", ""), "%d,%d", &n, &m); err != nil {
-		return nil, fmt.Errorf("bad -gen %q: want n,m", gen)
-	}
-	if instances < 1 {
-		instances = 1
-	}
-	bases := make([]api.Graph, instances)
-	for i := range bases {
-		bases[i] = api.FromGraph(graph.Gnm(n, m, seed+int64(i)))
-	}
-	before, err := debugVars(base)
-	if err != nil {
-		return nil, err
-	}
-
-	type outcome struct {
-		lat    time.Duration
-		cached bool
-		status int
-		err    error
-	}
-	results := make([]outcome, requests)
-	if workers > 0 {
-		parallel.SetWorkers(workers)
-	}
-	parallel.For(requests, 1, func(lo, hi int) {
-		for j := lo; j < hi; j++ {
-			req := &api.SolveRequest{
-				V: api.Version, Algo: algo, K: k,
-				Graph: permute(bases[j%instances], seed+int64(100+j)),
-				Seed:  seed,
-			}
-			start := time.Now()
-			res, status, err := postSolve(base, req)
-			results[j] = outcome{lat: time.Since(start), status: status, err: err}
-			if err == nil {
-				results[j].cached = res.Cached
-			}
-		}
-	})
-
-	lats := make([]time.Duration, 0, requests)
-	errs, cached := 0, 0
-	for _, r := range results {
-		if r.err != nil || r.status != http.StatusOK {
-			errs++
-			continue
-		}
-		lats = append(lats, r.lat)
-		if r.cached {
-			cached++
-		}
-	}
-	if len(lats) == 0 {
-		return nil, fmt.Errorf("load: all %d requests failed (first: %v)", requests, results[0].err)
-	}
-	sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
-	pct := func(p int) float64 {
-		idx := (len(lats)-1)*p + 50 // rounded nearest-rank over 100ths
-		return float64(lats[idx/100].Microseconds()) / 1000.0
-	}
-	after, err := debugVars(base)
-	if err != nil {
-		return nil, err
-	}
-	hits := after["server.cache.hits"] - before["server.cache.hits"]
-	misses := after["server.cache.misses"] - before["server.cache.misses"]
-	hitRate := 0.0
-	if hits+misses > 0 {
-		hitRate = float64(hits) / float64(hits+misses)
-	}
-	return map[string]any{
-		"mode":      "load",
-		"algo":      algo,
-		"k":         k,
-		"gen":       gen,
-		"requests":  requests,
-		"instances": instances,
-		"workers":   workers,
-		"seed":      seed,
-		"errors":    errs,
-		"latency_ms": map[string]float64{
-			"p50": pct(50),
-			"p90": pct(90),
-			"p99": pct(99),
-		},
-		"cache": map[string]any{
-			"hits":     hits,
-			"misses":   misses,
-			"hit_rate": hitRate,
-			"served":   cached,
-		},
 	}, nil
 }

@@ -50,7 +50,6 @@ import (
 	"math/rand"
 	"os"
 	"os/signal"
-	"sort"
 	"strings"
 	"time"
 
@@ -61,46 +60,52 @@ import (
 	"repro/internal/kplex"
 	"repro/internal/obsio"
 	"repro/internal/parallel"
+	"repro/internal/reduce"
 	"repro/internal/server"
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "qmkp:", err)
 		os.Exit(api.ExitCode(err))
 	}
 }
 
-func run() error {
+// run is the whole command: it parses args and writes every answer line
+// to w.
+func run(args []string, w io.Writer) error {
+	fs := flag.NewFlagSet("qmkp", flag.ExitOnError)
 	var (
-		algo     = flag.String("algo", "qmkp", "algorithm: qmkp | qtkp | qamkp | bb | bs | naive | greedy | tabu | qnclub")
-		k        = flag.Int("k", 2, "k-plex parameter")
-		clubL    = flag.Int("club", 2, "qnclub: diameter bound n of the n-club")
-		tSize    = flag.Int("T", 0, "size threshold (qtkp only)")
-		file     = flag.String("graph", "", "edge-list file (p/e format, 1-based vertices)")
-		gen      = flag.String("gen", "", "generate a random graph: n,m")
-		dataset  = flag.String("dataset", "", "named paper dataset, e.g. 'G_{10,23}'")
-		seed     = flag.Int64("seed", 1, "random seed")
-		shots    = flag.Int("shots", 200, "qaMKP: number of anneals")
-		deltaT   = flag.Int("deltat", 5, "qaMKP: sweeps per anneal (µs analogue)")
-		rPen     = flag.Float64("R", 2, "qaMKP: penalty weight (must be > 1)")
-		embed    = flag.Bool("embed", false, "qaMKP: run through the hardware-embedding pipeline")
-		reduce   = flag.Bool("reduce", false, "apply core-truss co-pruning before solving")
-		nokernel = flag.Bool("nokernel", false, "bb: skip kernelization (degree peeling + component split) and search the raw graph")
-		workers  = flag.Int("workers", 0, "worker count for parallel phases (0 = keep REPRO_WORKERS / NumCPU default); results are identical at any value")
-		circuit  = flag.Bool("circuit", false, "qmkp/qtkp: force oracle evaluation through circuit replay (disables the semantic fast path; same results, slower)")
+		algo     = fs.String("algo", "qmkp", "algorithm: qmkp | qtkp | qamkp | bb | bs | naive | greedy | tabu | qnclub")
+		k        = fs.Int("k", 2, "k-plex parameter")
+		clubL    = fs.Int("club", 2, "qnclub: diameter bound n of the n-club")
+		tSize    = fs.Int("T", 0, "size threshold (qtkp only)")
+		file     = fs.String("graph", "", "edge-list file (p/e format, 1-based vertices)")
+		gen      = fs.String("gen", "", "generate a random graph: n,m")
+		dataset  = fs.String("dataset", "", "named paper dataset, e.g. 'G_{10,23}'")
+		seed     = fs.Int64("seed", 1, "random seed")
+		shots    = fs.Int("shots", 200, "qaMKP: number of anneals")
+		deltaT   = fs.Int("deltat", 5, "qaMKP: sweeps per anneal (µs analogue)")
+		rPen     = fs.Float64("R", 2, "qaMKP: penalty weight (must be > 1)")
+		embed    = fs.Bool("embed", false, "qaMKP: run through the hardware-embedding pipeline")
+		coPrune  = fs.Bool("reduce", false, "apply core-truss co-pruning before solving (k-plex algorithms; answers stay in input ids)")
+		nokernel = fs.Bool("nokernel", false, "bb: skip kernelization (degree peeling + component split) and search the raw graph")
+		workers  = fs.Int("workers", 0, "worker count for parallel phases (0 = keep REPRO_WORKERS / NumCPU default); results are identical at any value")
+		circuit  = fs.Bool("circuit", false, "qmkp/qtkp: force oracle evaluation through circuit replay (disables the semantic fast path; same results, slower)")
 
-		jsonIn  = flag.String("json-in", "", "read one api.SolveRequest (wire schema v1) from this file ('-' = stdin) and solve it through the daemon's dispatcher; replaces the flag-based input")
-		jsonOut = flag.String("json-out", "", "with -json-in: write the api.SolveResult JSON here ('-' = stdout, the default)")
+		jsonIn  = fs.String("json-in", "", "read one api.SolveRequest (wire schema v1) from this file ('-' = stdin) and solve it through the daemon's dispatcher; replaces the flag-based input")
+		jsonOut = fs.String("json-out", "", "with -json-in: write the api.SolveResult JSON here ('-' = stdout, the default)")
 
-		timeout    = flag.Duration("timeout", 0, "cancel the solve after this duration (0 = none); the best solution so far is still printed")
-		traceOut   = flag.String("trace-out", "", "write the deterministic span/event trace as JSONL to this file ('-' = stdout)")
-		metricsOut = flag.String("metrics-out", "", "write the counter/gauge snapshot as JSON to this file ('-' = stdout)")
-		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		memprofile = flag.String("memprofile", "", "write a heap profile (taken at exit) to this file")
-		exectrace  = flag.String("exectrace", "", "write a runtime execution trace to this file")
+		timeout    = fs.Duration("timeout", 0, "cancel the solve after this duration (0 = none); the best solution so far is still printed")
+		traceOut   = fs.String("trace-out", "", "write the deterministic span/event trace as JSONL to this file ('-' = stdout)")
+		metricsOut = fs.String("metrics-out", "", "write the counter/gauge snapshot as JSON to this file ('-' = stdout)")
+		cpuprofile = fs.String("cpuprofile", "", "write a CPU profile to this file")
+		memprofile = fs.String("memprofile", "", "write a heap profile (taken at exit) to this file")
+		exectrace  = fs.String("exectrace", "", "write a runtime execution trace to this file")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	if *workers > 0 {
 		parallel.SetWorkers(*workers)
@@ -135,27 +140,45 @@ func run() error {
 		return fmt.Errorf("-json-out requires -json-in: %w", core.ErrBadSpec)
 	}
 	if *jsonIn != "" {
-		return runJSON(ctx, *jsonIn, *jsonOut, sink)
+		return runJSON(ctx, w, *jsonIn, *jsonOut, sink)
 	}
 
 	g, err := loadGraph(*file, *gen, *dataset, *seed)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("input: %v, k=%d\n", g, *k)
+	fmt.Fprintf(w, "input: %v, k=%d\n", g, *k)
+	if *algo == "qtkp" && *tSize < 1 {
+		return fmt.Errorf("qtkp needs -T ≥ 1: %w", core.ErrBadSpec)
+	}
 
-	if *reduce {
-		lb := kplex.Greedy(g, *k)
-		red := g.CoTrussPrune(*k, len(lb)+1)
-		fmt.Printf("reduction: removed %d vertices (greedy lower bound %d)\n", red.Removed, len(lb))
-		if red.Graph.N() == 0 {
-			sort.Ints(lb)
-			fmt.Printf("solution: size %d, set %v (greedy optimal after reduction)\n", len(lb), oneBased(lb))
+	out := printer{w: w}
+	if *coPrune {
+		// Co-prune for the size the algorithm must reach: T for qtkp, one
+		// more than the greedy witness for the maximising algorithms.
+		// Every k-plex of that size survives; n-clubs need not.
+		if *algo == "qnclub" {
+			return fmt.Errorf("-reduce preserves k-plexes, not n-clubs: %w", core.ErrBadSpec)
+		}
+		if *k < 1 {
+			return fmt.Errorf("k=%d must be ≥ 1: %w", *k, core.ErrBadSpec)
+		}
+		q := *tSize
+		if *algo != "qtkp" {
+			out.witness = kplex.Greedy(g, *k)
+			q = len(out.witness) + 1
+		}
+		kern := reduce.CoTruss(g, *k, q)
+		fmt.Fprintf(w, "reduction: removed %d vertices, keeping every %d-plex of size ≥ %d\n", kern.Stats.Peeled, *k, q)
+		if kern.Sub.N() < q {
+			if *algo == "qtkp" {
+				fmt.Fprintf(w, "no %d-plex of size ≥ %d exists (verified absence)\n", *k, q)
+				return fmt.Errorf("co-pruning left %d vertices: %w", kern.Sub.N(), core.ErrInfeasible)
+			}
+			out.solution("solution: size %d, set %v (greedy optimal after reduction)\n", out.witness)
 			return nil
 		}
-		g = red.Graph
-		// Results below are reported in reduced ids plus the lift.
-		defer fmt.Printf("(vertex ids above are positions in the reduced graph; lift: %v)\n", oneBased(red.Vertices))
+		g, out.kern = kern.Sub, &kern
 	}
 
 	switch *algo {
@@ -173,19 +196,16 @@ func run() error {
 			if p.Found {
 				status = fmt.Sprintf("found size %d", p.Size)
 			}
-			fmt.Printf("  probe T=%-3d %-22s cum. modelled QPU %v\n", p.T, status, p.CumQPUTime)
+			fmt.Fprintf(w, "  probe T=%-3d %-22s cum. modelled QPU %v\n", p.T, status, p.CumQPUTime)
 		}
 		if err != nil {
-			fmt.Printf("canceled: best size so far %d, set %v\n", res.Size, oneBased(res.Set))
+			out.solution("canceled: best size so far %d, set %v\n", res.Set)
 			return err
 		}
-		fmt.Printf("solution: size %d, set %v\n", res.Size, oneBased(res.Set))
-		fmt.Printf("cost: %d oracle calls, %d gates, modelled QPU %v, wall %v, error prob %.2e\n",
+		out.solution("solution: size %d, set %v\n", res.Set)
+		fmt.Fprintf(w, "cost: %d oracle calls, %d gates, modelled QPU %v, wall %v, error prob %.2e\n",
 			res.OracleCalls, res.Gates, res.QPUTime, res.WallTime, res.ErrorProbability)
 	case "qtkp":
-		if *tSize < 1 {
-			return fmt.Errorf("qtkp needs -T ≥ 1: %w", core.ErrBadSpec)
-		}
 		res, err := core.SolveTKP(ctx, g, core.Spec{
 			Algo: core.AlgoTKP, K: *k, T: *tSize,
 			Gate: &core.GateOptions{Rng: rand.New(rand.NewSource(*seed)), DisableFastPath: *circuit},
@@ -193,16 +213,16 @@ func run() error {
 		})
 		switch {
 		case errors.Is(err, core.ErrInfeasible):
-			fmt.Printf("no %d-plex of size ≥ %d exists (verified absence)\n", *k, *tSize)
+			fmt.Fprintf(w, "no %d-plex of size ≥ %d exists (verified absence)\n", *k, *tSize)
 			return err
 		case errors.Is(err, core.ErrCanceled):
-			fmt.Println("canceled before the probe finished")
+			fmt.Fprintln(w, "canceled before the probe finished")
 			return err
 		case err != nil:
 			return err
 		}
-		fmt.Printf("solution: size %d, set %v (M=%d, %d iterations, error prob %.2e)\n",
-			len(res.Set), oneBased(res.Set), res.M, res.Iterations, res.ErrorProbability)
+		out.solution("solution: size %d, set %v (M=%d, %d iterations, error prob %.2e)\n",
+			res.Set, res.M, res.Iterations, res.ErrorProbability)
 	case "qamkp":
 		res, err := core.SolveAnneal(ctx, g, core.Spec{
 			Algo: core.AlgoAnneal, K: *k,
@@ -212,54 +232,53 @@ func run() error {
 		if err != nil && !errors.Is(err, core.ErrCanceled) {
 			return err
 		}
-		fmt.Printf("model: %d binary variables (%d slack)\n", res.Variables, res.SlackVars)
+		fmt.Fprintf(w, "model: %d binary variables (%d slack)\n", res.Variables, res.SlackVars)
 		if res.EmbedStats != nil {
-			fmt.Printf("embedding: %d physical qubits, avg chain %.2f, max chain %d\n",
+			fmt.Fprintf(w, "embedding: %d physical qubits, avg chain %.2f, max chain %d\n",
 				res.EmbedStats.PhysicalQubits, res.EmbedStats.AvgChain, res.EmbedStats.MaxChain)
 		}
+		// A set the greedy witness replaced is a valid k-plex.
+		valid := res.Valid || len(out.answer(res.Set)) > len(res.Set)
 		if err != nil {
-			fmt.Printf("canceled: best over completed shots: size %d, set %v (valid k-plex: %v), cost %.2f\n",
-				res.Size, oneBased(res.Set), res.Valid, res.Cost)
+			out.solution("canceled: best over completed shots: size %d, set %v (valid k-plex: %v), cost %.2f\n",
+				res.Set, valid, res.Cost)
 			return err
 		}
-		fmt.Printf("solution: size %d, set %v (valid k-plex: %v), cost %.2f\n",
-			res.Size, oneBased(res.Set), res.Valid, res.Cost)
+		out.solution("solution: size %d, set %v (valid k-plex: %v), cost %.2f\n", res.Set, valid, res.Cost)
 	case "bs":
 		res, err := kplex.BS(g, *k)
 		if err != nil {
 			return err
 		}
-		fmt.Printf("solution: size %d, set %v (%d nodes expanded)\n", res.Size, oneBased(res.Set), res.Nodes)
+		out.solution("solution: size %d, set %v (%d nodes expanded)\n", res.Set, res.Nodes)
 	case "bb":
 		res, err := kplex.BBOpt(ctx, g, *k, kplex.BBOptions{Obs: sink.Obs, DisableKernel: *nokernel})
 		switch {
 		case errors.Is(err, kplex.ErrCanceled):
-			fmt.Printf("canceled: best size so far %d, set %v (%d nodes expanded)\n",
-				res.Size, oneBased(res.Set), res.Nodes)
+			out.solution("canceled: best size so far %d, set %v (%d nodes expanded)\n", res.Set, res.Nodes)
 			return fmt.Errorf("%w (bb): %w", core.ErrCanceled, err)
 		case err != nil:
 			return err
 		}
-		fmt.Printf("solution: size %d, set %v (%d nodes expanded)\n", res.Size, oneBased(res.Set), res.Nodes)
+		out.solution("solution: size %d, set %v (%d nodes expanded)\n", res.Set, res.Nodes)
 	case "naive":
 		res, err := kplex.Naive(g, *k)
 		if err != nil {
 			return err
 		}
-		fmt.Printf("solution: size %d, set %v (%d subsets scanned)\n", res.Size, oneBased(res.Set), res.Nodes)
+		out.solution("solution: size %d, set %v (%d subsets scanned)\n", res.Set, res.Nodes)
 	case "greedy":
-		set := kplex.Greedy(g, *k)
-		fmt.Printf("solution: size %d, set %v (heuristic lower bound)\n", len(set), oneBased(set))
+		out.solution("solution: size %d, set %v (heuristic lower bound)\n", kplex.Greedy(g, *k))
 	case "tabu":
-		set := kplex.TabuSearch(g, *k, kplex.TabuOptions{Seed: *seed})
-		fmt.Printf("solution: size %d, set %v (tabu-search lower bound)\n", len(set), oneBased(set))
+		out.solution("solution: size %d, set %v (tabu-search lower bound)\n",
+			kplex.TabuSearch(g, *k, kplex.TabuOptions{Seed: *seed}))
 	case "qnclub":
 		res, err := club.QMaxClub(g, *clubL, rand.New(rand.NewSource(*seed)))
 		if err != nil {
 			return err
 		}
-		fmt.Printf("solution: maximum %d-club of size %d, set %v (%d oracle calls)\n",
-			*clubL, res.Size, oneBased(res.Set), res.Nodes)
+		out.solution("solution: maximum %[3]d-club of size %[1]d, set %[2]v (%[4]d oracle calls)\n",
+			res.Set, *clubL, res.Nodes)
 	default:
 		return fmt.Errorf("unknown algorithm %q: %w", *algo, core.ErrBadSpec)
 	}
@@ -272,7 +291,7 @@ func run() error {
 // and Ctrl-C — whichever fires first cancels the solve. Errors are
 // reported both in-band (error_kind/error in the result document) and
 // through the process exit code, so scripts can pick either signal.
-func runJSON(ctx context.Context, in, out string, sink *obsio.Sink) error {
+func runJSON(ctx context.Context, w io.Writer, in, out string, sink *obsio.Sink) error {
 	var src io.Reader = os.Stdin
 	if in != "-" {
 		f, err := os.Open(in)
@@ -302,7 +321,7 @@ func runJSON(ctx context.Context, in, out string, sink *obsio.Sink) error {
 	}
 	data = append(data, '\n')
 	if out == "" || out == "-" {
-		if _, err := os.Stdout.Write(data); err != nil {
+		if _, err := w.Write(data); err != nil {
 			return err
 		}
 	} else if err := os.WriteFile(out, data, 0o644); err != nil {
@@ -339,6 +358,36 @@ func loadGraph(file, gen, dataset string, seed int64) (*graph.Graph, error) {
 		}
 		return d.Build(), nil
 	}
+}
+
+// printer writes the answer lines. Under -reduce the solver ran on the
+// co-pruned kernel, and a maximising algorithm holds the greedy witness
+// the kernel was pruned against.
+type printer struct {
+	w       io.Writer
+	kern    *reduce.Kernel // nil without -reduce
+	witness []int          // greedy witness in original ids, nil for qtkp
+}
+
+// answer maps a solver's set to the one to print: lifted to original
+// ids, and replaced by the greedy witness when that is larger (the kernel
+// keeps only plexes that beat it).
+func (p printer) answer(set []int) []int {
+	if p.kern != nil {
+		set = p.kern.LiftSet(set)
+	}
+	if len(set) < len(p.witness) {
+		return p.witness
+	}
+	return set
+}
+
+// solution prints one answer line. format's first two verbs take the
+// size and the 1-based members of answer(set), so the two always agree;
+// extra fills the rest.
+func (p printer) solution(format string, set []int, extra ...any) {
+	set = p.answer(set)
+	fmt.Fprintf(p.w, format, append([]any{len(set), oneBased(set)}, extra...)...)
 }
 
 // oneBased renders a vertex set with the paper's 1-based labels.

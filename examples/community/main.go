@@ -15,6 +15,7 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/kplex"
+	"repro/internal/reduce"
 )
 
 func main() {
@@ -35,7 +36,7 @@ func main() {
 				}
 			}
 			sub, ids := g.InducedSubgraph(members)
-			res, err := kplex.MaxKPlex(sub, k)
+			res, err := kplex.BB(sub, k)
 			if err != nil {
 				log.Fatal(err)
 			}
@@ -57,7 +58,7 @@ func main() {
 	// core–truss co-pruning shrinks the noisy graph to something a
 	// gate-model simulator could take.
 	lb := kplex.Greedy(g, 2)
-	red := g.CoTrussPrune(2, len(lb)+1)
+	kern := reduce.CoTruss(g, 2, len(lb)+1)
 	fmt.Printf("\nco-pruning the whole graph for 2-plexes > %d: %d of %d vertices remain\n",
-		len(lb), red.Graph.N(), g.N())
+		len(lb), kern.Sub.N(), g.N())
 }

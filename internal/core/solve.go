@@ -213,8 +213,8 @@ func SolveMKP(ctx context.Context, g *graph.Graph, spec Spec) (MKPResult, error)
 
 	lo, hi := 1, n
 	if o.UseClassicalBounds {
-		// One greedy run gives both the lower bound (kplex.LowerBound is
-		// its size) and the witness behind it.
+		// One greedy run gives both the lower bound (its size) and the
+		// witness behind it.
 		set := kplex.Greedy(g, k)
 		if len(set) > lo {
 			lo = len(set) // a certified k-plex of this size exists

@@ -21,8 +21,8 @@ type BBResult struct {
 	Nodes int64
 }
 
-// BBOptions tunes a BranchBoundOpt run. The zero value is BranchBound's
-// behaviour: no incumbent, no size floor, degeneracy branch order.
+// BBOptions tunes a BranchBound run. Order is required; Seed and
+// MinSize default to no incumbent and no size floor.
 type BBOptions struct {
 	// Seed is an optional incumbent witness (e.g. a greedy solution). It
 	// is adopted only if it verifies as a k-plex; a stronger incumbent
@@ -34,20 +34,12 @@ type BBOptions struct {
 	// it, Size == MinSize and Set is empty — the caller holds the
 	// witness.
 	MinSize int
-	// Order overrides the branch order (must be a permutation of the
-	// vertices). Nil computes the degeneracy order of the instance —
-	// repeated minimum-degree removal, ties by lowest index — which a
-	// kernelized caller can also supply precomputed.
+	// Order is the branch order, a permutation of the vertices; anything
+	// else, nil included, panics. Callers pass reduce.DegeneracyOrder of
+	// the instance (or its restriction to a component): low-core vertices
+	// root subtrees that prune immediately, and the dense residue is
+	// branched last, when the incumbent is strong.
 	Order []int
-}
-
-// BranchBound solves maximum k-plex exactly by deterministic
-// branch-and-bound over the multi-word complement rows — the classical
-// engine past what the circuit simulator (n ≤ gate cap) or the exhaustive
-// Table (n ≤ TableMaxVertices) can sweep. It is BranchBoundOpt with an
-// optional seed incumbent and defaults everywhere else.
-func (e *Evaluator) BranchBound(seed []int) BBResult {
-	return e.BranchBoundOpt(BBOptions{Seed: seed})
 }
 
 // bbWaveSize is the number of root subtree tasks per wave. The wave
@@ -60,13 +52,17 @@ func (e *Evaluator) BranchBound(seed []int) BBResult {
 // stale.
 const bbWaveSize = 64
 
-// BranchBoundOpt enumerates k-plexes by the hereditary property (every
-// subset of a k-plex is a k-plex, so each k-plex is reachable by adding
-// vertices one at a time through k-plex intermediates) and prunes with
-// two bounds — the trivial |P| + |feasible| and a per-member
-// complement-budget bound (member u tolerates at most k-1-cdeg(u) more
-// complement neighbours, so any excess complement neighbours of u among
-// the feasible candidates must stay out).
+// BranchBound solves maximum k-plex exactly by deterministic
+// branch-and-bound over the multi-word complement rows — the classical
+// engine past what the circuit simulator (n ≤ gate cap) or the exhaustive
+// Table (n ≤ TableMaxVertices) can sweep. It enumerates k-plexes by the
+// hereditary property (every subset of a k-plex is a k-plex, so each
+// k-plex is reachable by adding vertices one at a time through k-plex
+// intermediates) and prunes with two bounds — the trivial
+// |P| + |feasible| and a per-member complement-budget bound (member u
+// tolerates at most k-1-cdeg(u) more complement neighbours, so any excess
+// complement neighbours of u among the feasible candidates must stay
+// out).
 //
 // The search is decomposed for the worker pool without giving up
 // determinism. K-plexes of size ≥ 2 partition by their first two members
@@ -80,24 +76,16 @@ const bbWaveSize = 64
 // the task computes, so Size, Set and Nodes are bit-identical at any
 // REPRO_WORKERS setting — the serial path is simply the same schedule on
 // one worker.
-func (e *Evaluator) BranchBoundOpt(opt BBOptions) BBResult {
-	//lint:allow errwrap context.Background never cancels, so the only error BranchBoundCtx returns cannot occur here
-	res, _ := e.BranchBoundCtx(context.Background(), opt)
-	return res
-}
-
-// BranchBoundCtx is BranchBoundOpt under a context: cancellation and
-// deadline are polled once per wave — between waves every worker has
-// joined, so stopping there abandons no goroutine and splits no task.
-// On cancellation the best incumbent found by the completed waves comes
-// back (the same Size/Set/Nodes a serial run stopped at that wave would
-// report) alongside an error wrapping ctx.Err(); the result is only
-// guaranteed optimal when the error is nil.
-func (e *Evaluator) BranchBoundCtx(ctx context.Context, opt BBOptions) (BBResult, error) {
+//
+// Cancellation and deadline are polled once per wave — between waves
+// every worker has joined, so stopping there abandons no goroutine and
+// splits no task. On cancellation the best incumbent found by the
+// completed waves comes back (the same Size/Set/Nodes a serial run
+// stopped at that wave would report) alongside an error wrapping
+// ctx.Err(); the result is only guaranteed optimal when the error is nil.
+func (e *Evaluator) BranchBound(ctx context.Context, opt BBOptions) (BBResult, error) {
 	order := opt.Order
-	if order == nil {
-		order = e.degeneracyOrder()
-	} else if !validPermutation(order, e.n) {
+	if !validPermutation(order, e.n) {
 		panic(fmt.Sprintf("fastoracle: BBOptions.Order is not a permutation of [0,%d)", e.n))
 	}
 	best := 0
@@ -212,38 +200,6 @@ func (b *bbState) runTask(order []int, t bbTask, frozen int) bbTaskResult {
 		out.set = append([]int(nil), b.bestSet...)
 	}
 	return out
-}
-
-// degeneracyOrder is the branch order BranchBoundOpt defaults to:
-// repeated minimum-degree removal in the original graph (ties by lowest
-// index), reconstructed here from the complement rows (deg(v) =
-// n-1-cdeg(v)). Low-core vertices root subtrees that prune immediately;
-// the dense residue is branched last, when the incumbent is strong.
-func (e *Evaluator) degeneracyOrder() []int {
-	n := e.n
-	removed := make([]bool, n)
-	deg := make([]int, n)
-	for v := 0; v < n; v++ {
-		deg[v] = n - 1 - e.compVec[v].OnesCount()
-	}
-	order := make([]int, 0, n)
-	for len(order) < n {
-		u := -1
-		for v := 0; v < n; v++ {
-			if !removed[v] && (u < 0 || deg[v] < deg[u]) {
-				u = v
-			}
-		}
-		removed[u] = true
-		order = append(order, u)
-		row := e.compVec[u]
-		for v := 0; v < n; v++ {
-			if !removed[v] && v != u && !row.Get(v) {
-				deg[v]--
-			}
-		}
-	}
-	return order
 }
 
 // validPermutation reports whether order is a permutation of [0, n).

@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/parallel"
+	"repro/internal/reduce"
 )
 
 // countdownCtx reports cancellation once its Err method has been
@@ -34,26 +35,27 @@ func (c *countdownCtx) Err() error {
 	return nil
 }
 
-// TestBranchBoundCtxCancelMidWave cancels a multi-wave search after a
+// TestBranchBoundCancelMidWave cancels a multi-wave search after a
 // fixed number of wave-boundary polls: the partial result must be a
 // verified k-plex no worse than the single-vertex floor, the error must
 // wrap context.Canceled, and — the regression this test exists for — no
 // pool goroutine may outlive the canceled call.
-func TestBranchBoundCtxCancelMidWave(t *testing.T) {
+func TestBranchBoundCancelMidWave(t *testing.T) {
 	defer parallel.SetWorkers(parallel.SetWorkers(4))
 	g := graph.Gnm(40, 200, 7)
 	e, err := New(g, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, err := e.BranchBoundCtx(context.Background(), BBOptions{})
+	order, _ := reduce.DegeneracyOrder(g)
+	full, err := e.BranchBound(context.Background(), BBOptions{Order: order})
 	if err != nil {
 		t.Fatalf("uncanceled run errored: %v", err)
 	}
 
 	baseline := runtime.NumGoroutine()
 	ctx := newCountdownCtx(3)
-	res, err := e.BranchBoundCtx(ctx, BBOptions{})
+	res, err := e.BranchBound(ctx, BBOptions{Order: order})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("mid-wave cancel returned %v, want context.Canceled in the chain", err)
 	}
@@ -83,10 +85,10 @@ func TestBranchBoundCtxCancelMidWave(t *testing.T) {
 	t.Errorf("goroutines leaked after mid-wave cancel: baseline %d, now %d", baseline, runtime.NumGoroutine())
 }
 
-// TestBranchBoundCtxPreCanceled: a context canceled before the first
+// TestBranchBoundPreCanceled: a context canceled before the first
 // wave still returns the preamble incumbent — the seed when it
 // verifies, else a single vertex — with the cancellation error.
-func TestBranchBoundCtxPreCanceled(t *testing.T) {
+func TestBranchBoundPreCanceled(t *testing.T) {
 	g := graph.Gnm(20, 60, 3)
 	e, err := New(g, 2)
 	if err != nil {
@@ -95,7 +97,8 @@ func TestBranchBoundCtxPreCanceled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	seed := []int{0, 1} // any pair is a 2-plex: each member tolerates one non-neighbour
-	res, err := e.BranchBoundCtx(ctx, BBOptions{Seed: seed})
+	order, _ := reduce.DegeneracyOrder(g)
+	res, err := e.BranchBound(ctx, BBOptions{Seed: seed, Order: order})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("pre-canceled run returned %v, want context.Canceled in the chain", err)
 	}

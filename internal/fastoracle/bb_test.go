@@ -1,13 +1,83 @@
 package fastoracle
 
 import (
+	"context"
 	"math/bits"
 	"math/rand"
 	"testing"
 
 	"repro/internal/graph"
 	"repro/internal/parallel"
+	"repro/internal/reduce"
 )
+
+// branchBound runs BranchBound to completion over g's degeneracy order,
+// the order every production caller passes, unless opt names another.
+func branchBound(tb testing.TB, e *Evaluator, g *graph.Graph, opt BBOptions) BBResult {
+	tb.Helper()
+	if opt.Order == nil {
+		opt.Order, _ = reduce.DegeneracyOrder(g)
+	}
+	res, err := e.BranchBound(context.Background(), opt)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return res
+}
+
+// degeneracyOrderReference is the branch order BranchBound used to
+// compute for itself: repeated minimum-degree removal (ties by lowest
+// index) reconstructed from the complement rows (deg(v) = n-1-cdeg(v)).
+// Kept verbatim as the reference reduce.DegeneracyOrder must reproduce.
+func (e *Evaluator) degeneracyOrderReference() []int {
+	n := e.n
+	removed := make([]bool, n)
+	deg := make([]int, n)
+	for v := 0; v < n; v++ {
+		deg[v] = n - 1 - e.compVec[v].OnesCount()
+	}
+	order := make([]int, 0, n)
+	for len(order) < n {
+		u := -1
+		for v := 0; v < n; v++ {
+			if !removed[v] && (u < 0 || deg[v] < deg[u]) {
+				u = v
+			}
+		}
+		removed[u] = true
+		order = append(order, u)
+		row := e.compVec[u]
+		for v := 0; v < n; v++ {
+			if !removed[v] && v != u && !row.Get(v) {
+				deg[v]--
+			}
+		}
+	}
+	return order
+}
+
+// The one degeneracy peel in reduce must hand BranchBound exactly the
+// order its retired private peel computed, so node counts and witnesses
+// are unchanged.
+func TestDegeneracyOrderMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(57))
+	for trial := 0; trial < 300; trial++ {
+		n := 1 + rng.Intn(150)
+		g := graph.Gnp(n, rng.Float64(), rng.Int63())
+		e, err := New(g, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := e.degeneracyOrderReference()
+		got, _ := reduce.DegeneracyOrder(g)
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("trial %d (n=%d): orders diverge at position %d: %v vs reference %v",
+					trial, n, i, got, want)
+			}
+		}
+	}
+}
 
 // bruteMax sweeps all 2^n masks for the maximum k-plex size — the ground
 // truth BranchBound must reproduce.
@@ -35,7 +105,7 @@ func TestBranchBoundMatchesBruteForce(t *testing.T) {
 			t.Fatal(err)
 		}
 		want := bruteMax(e)
-		res := e.BranchBound(nil)
+		res := branchBound(t, e, g, BBOptions{})
 		if res.Size != want {
 			t.Fatalf("n=%d k=%d: BranchBound=%d, brute force says %d", n, k, res.Size, want)
 		}
@@ -57,8 +127,8 @@ func TestBranchBoundSeed(t *testing.T) {
 	want := bruteMax(e)
 	// A valid optimal seed: the search must return it (or an equal-size
 	// set), never something smaller.
-	opt := e.BranchBound(nil)
-	seeded := e.BranchBound(opt.Set)
+	opt := branchBound(t, e, g, BBOptions{})
+	seeded := branchBound(t, e, g, BBOptions{Seed: opt.Set})
 	if seeded.Size != want {
 		t.Fatalf("optimal seed degraded the answer: %d, want %d", seeded.Size, want)
 	}
@@ -67,7 +137,7 @@ func TestBranchBoundSeed(t *testing.T) {
 	if g.IsKPlex(bad, 2) {
 		t.Skip("random instance made the full vertex set a 2-plex; pick a new seed")
 	}
-	fromBad := e.BranchBound(bad)
+	fromBad := branchBound(t, e, g, BBOptions{Seed: bad})
 	if fromBad.Size != want {
 		t.Fatalf("invalid seed corrupted the answer: %d, want %d", fromBad.Size, want)
 	}
@@ -83,8 +153,8 @@ func TestBranchBoundDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := e.BranchBound(nil)
-	b := e.BranchBound(nil)
+	a := branchBound(t, e, g, BBOptions{})
+	b := branchBound(t, e, g, BBOptions{})
 	if a.Size != b.Size || a.Nodes != b.Nodes || len(a.Set) != len(b.Set) {
 		t.Fatalf("two identical runs disagree: %+v vs %+v", a, b)
 	}
@@ -103,7 +173,7 @@ func TestBranchBoundMultiWord(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := e.BranchBound(nil)
+	res := branchBound(t, e, g, BBOptions{})
 	if res.Size < 2 {
 		t.Fatalf("Size=%d; any adjacent pair (or k singletons) beats this", res.Size)
 	}
@@ -145,7 +215,7 @@ func TestBranchBoundWorkerInvariance(t *testing.T) {
 		var base BBResult
 		for i, w := range []int{1, 2, 8} {
 			prev := parallel.SetWorkers(w)
-			res := e.BranchBound(nil)
+			res := branchBound(t, e, g, BBOptions{})
 			parallel.SetWorkers(prev)
 			if i == 0 {
 				base = res
@@ -173,9 +243,9 @@ func TestBranchBoundMinSize(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt := e.BranchBound(nil)
+	opt := branchBound(t, e, g, BBOptions{})
 	// Floor below the optimum: same answer, no more nodes than unfloored.
-	under := e.BranchBoundOpt(BBOptions{MinSize: opt.Size - 1})
+	under := branchBound(t, e, g, BBOptions{MinSize: opt.Size - 1})
 	if under.Size != opt.Size || !g.IsKPlex(under.Set, 2) {
 		t.Fatalf("floor %d changed the answer: %+v vs %+v", opt.Size-1, under, opt)
 	}
@@ -183,34 +253,38 @@ func TestBranchBoundMinSize(t *testing.T) {
 		t.Fatalf("floor pruned less than no floor: %d > %d nodes", under.Nodes, opt.Nodes)
 	}
 	// Floor at the optimum: nothing strictly better exists, empty witness.
-	at := e.BranchBoundOpt(BBOptions{MinSize: opt.Size})
+	at := branchBound(t, e, g, BBOptions{MinSize: opt.Size})
 	if at.Size != opt.Size || len(at.Set) != 0 {
 		t.Fatalf("floor at the optimum should report (size=%d, empty set), got %+v", opt.Size, at)
 	}
 }
 
 // An explicit branch order must not change the answer (only the cost),
-// and a non-permutation must be rejected loudly.
+// and a missing order or a non-permutation must be rejected loudly.
 func TestBranchBoundOrderOption(t *testing.T) {
 	g := graph.Gnm(24, 90, 5)
 	e, err := New(g, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := e.BranchBound(nil).Size
+	want := branchBound(t, e, g, BBOptions{}).Size
 	rev := make([]int, 24)
 	for i := range rev {
 		rev[i] = 23 - i
 	}
-	if got := e.BranchBoundOpt(BBOptions{Order: rev}).Size; got != want {
+	if got := branchBound(t, e, g, BBOptions{Order: rev}).Size; got != want {
 		t.Fatalf("reversed order changed the answer: %d, want %d", got, want)
 	}
-	defer func() {
-		if recover() == nil {
-			t.Error("non-permutation Order did not panic")
-		}
-	}()
-	e.BranchBoundOpt(BBOptions{Order: []int{0, 0, 1}})
+	for _, order := range [][]int{nil, {0, 0, 1}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Order %v did not panic", order)
+				}
+			}()
+			_, _ = e.BranchBound(context.Background(), BBOptions{Order: order})
+		}()
+	}
 }
 
 // referenceFeasible is the pre-rewrite O(|P|) feasibility probe — a scan

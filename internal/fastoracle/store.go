@@ -1,12 +1,14 @@
 package fastoracle
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"sync/atomic"
 
 	"repro/internal/graph"
 	"repro/internal/obs"
+	"repro/internal/reduce"
 )
 
 // DefaultTableCutoff is NewStore's representation switch: at or below it
@@ -62,7 +64,8 @@ func NewStore(g *graph.Graph, k int) (Store, error) {
 		}
 		return t, nil
 	}
-	return &Lazy{e: e}, nil
+	order, _ := reduce.DegeneracyOrder(g)
+	return &Lazy{e: e, order: order}, nil
 }
 
 // Lazy answers the Store queries without materialising 2^n bits:
@@ -77,6 +80,7 @@ func NewStore(g *graph.Graph, k int) (Store, error) {
 // top.
 type Lazy struct {
 	e       *Evaluator
+	order   []int // degeneracy order of the graph, MaxPlexSize's branch order
 	maxOnce sync.Once
 	maxSize int
 	// nodes accumulates the search-tree nodes every lazy answer cost
@@ -168,7 +172,8 @@ func (b *bbState) countAtLeast(cand []int, T int) int {
 // BranchBound and cached for subsequent calls.
 func (l *Lazy) MaxPlexSize() int {
 	l.maxOnce.Do(func() {
-		res := l.e.BranchBound(nil)
+		//lint:allow errwrap context.Background never cancels, so the only error BranchBound returns cannot occur here
+		res, _ := l.e.BranchBound(context.Background(), BBOptions{Order: l.order})
 		l.maxSize = res.Size
 		l.nodes.Add(res.Nodes)
 	})

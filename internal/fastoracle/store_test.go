@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/obs"
+	"repro/internal/reduce"
 )
 
 // Regression: Table() used to compute `size := 1 << n`, which wraps to 0
@@ -81,7 +82,8 @@ func TestLazyMatchesTableExhaustive(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		lazy := &Lazy{e: e}
+		order, _ := reduce.DegeneracyOrder(g)
+		lazy := &Lazy{e: e, order: order}
 		if lazy.N() != tab.N() {
 			t.Fatalf("N mismatch: %d vs %d", lazy.N(), tab.N())
 		}
@@ -183,7 +185,7 @@ func BenchmarkStoreCrossover(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		want := e.BranchBound(nil).Size
+		want := branchBound(b, e, g, BBOptions{}).Size
 		b.Run(fmt.Sprintf("table/n=%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				tab, terr := e.Table()
@@ -197,7 +199,7 @@ func BenchmarkStoreCrossover(b *testing.B) {
 		})
 		b.Run(fmt.Sprintf("bb/n=%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if e.BranchBound(nil).Size != want {
+				if branchBound(b, e, g, BBOptions{}).Size != want {
 					b.Fatal("branch-and-bound became inconsistent")
 				}
 			}
@@ -211,7 +213,7 @@ func BenchmarkStoreCrossover(b *testing.B) {
 	}
 	b.Run("bb/n=100", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if e.BranchBound(nil).Size < 2 {
+			if branchBound(b, e, g, BBOptions{}).Size < 2 {
 				b.Fatal("implausible maximum on the 100-vertex instance")
 			}
 		}

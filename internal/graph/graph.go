@@ -1,7 +1,8 @@
 // Package graph implements the undirected, unweighted graphs the paper's
 // algorithms operate on: construction, complementation, k-plex/k-cplex
-// verification, synthetic generators matching the paper's datasets, the
-// core–truss co-pruning reduction, and a small text format.
+// verification, synthetic generators matching the paper's datasets, and
+// a small text format. Reductions, the paper's core–truss co-pruning
+// among them, live in package reduce.
 //
 // Vertices are integers 0..N-1. The paper's figures use 1-based labels
 // (v1..v6); the text I/O accepts either and stores 0-based.

@@ -7,6 +7,45 @@ import (
 	"testing"
 )
 
+func TestReadWriteRoundTrip(t *testing.T) {
+	g := Example6()
+	var buf bytes.Buffer
+	if err := Write(&buf, g); err != nil {
+		t.Fatal(err)
+	}
+	got, err := Read(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.N() != g.N() || got.M() != g.M() {
+		t.Fatalf("round trip changed size: n=%d m=%d", got.N(), got.M())
+	}
+	for u := 0; u < 6; u++ {
+		for v := u + 1; v < 6; v++ {
+			if got.HasEdge(u, v) != g.HasEdge(u, v) {
+				t.Errorf("edge (%d,%d) changed in round trip", u, v)
+			}
+		}
+	}
+}
+
+func TestReadErrors(t *testing.T) {
+	cases := []string{
+		"e 1 2\n",          // edge before problem line
+		"p 3 1\ne 1 4\n",   // vertex out of range
+		"p 3 1\ne 2 2\n",   // self-loop
+		"p 3 1\nq 1 2\n",   // unknown directive
+		"",                 // no problem line
+		"p 3 1\np 3 1\n",   // duplicate problem line
+		"p 3 1\ne 1 2 3\n", // malformed edge
+	}
+	for _, in := range cases {
+		if _, err := Read(bytes.NewBufferString(in)); err == nil {
+			t.Errorf("Read(%q) succeeded, want error", in)
+		}
+	}
+}
+
 // --- Loader bugfix regressions (all failed before the strict parser) ---
 
 // The standard DIMACS header form was rejected as a malformed problem

@@ -4,6 +4,7 @@ import (
 	"sort"
 
 	"repro/internal/graph"
+	"repro/internal/reduce"
 )
 
 // Bounds for the maximum k-plex size. The paper notes that "upper bounding
@@ -11,58 +12,14 @@ import (
 // to further enhance its efficiency"; these are the bounds the core
 // package uses for that integration.
 
-// CoreNumbers returns the degeneracy ordering core numbers: core[v] is the
-// largest c such that v belongs to a subgraph with minimum degree ≥ c.
-func CoreNumbers(g *graph.Graph) []int {
-	n := g.N()
-	deg := make([]int, n)
-	for v := 0; v < n; v++ {
-		deg[v] = g.Degree(v)
-	}
-	core := make([]int, n)
-	removed := make([]bool, n)
-	for round := 0; round < n; round++ {
-		// Peel the minimum-degree vertex.
-		v, minDeg := -1, n+1
-		for u := 0; u < n; u++ {
-			if !removed[u] && deg[u] < minDeg {
-				v, minDeg = u, deg[u]
-			}
-		}
-		if round == 0 {
-			core[v] = deg[v]
-		} else {
-			core[v] = deg[v]
-			if prev := coreMaxSoFar(core, removed); prev > core[v] {
-				core[v] = prev
-			}
-		}
-		removed[v] = true
-		for u := 0; u < n; u++ {
-			if !removed[u] && g.HasEdge(u, v) {
-				deg[u]--
-			}
-		}
-	}
-	return core
-}
-
-func coreMaxSoFar(core []int, removed []bool) int {
-	m := 0
-	for v, r := range removed {
-		if r && core[v] > m {
-			m = core[v]
-		}
-	}
-	return m
-}
-
 // CoreUpperBound returns an upper bound on the maximum k-plex size: every
 // vertex of a k-plex of size q has degree ≥ q-k inside it, so the k-plex
-// lies in the (q-k)-core; hence q ≤ max_v core(v) + k.
+// lies in the (q-k)-core; hence q ≤ max_v core(v) + k, with the core
+// numbers from reduce.DegeneracyOrder.
 func CoreUpperBound(g *graph.Graph, k int) int {
 	maxCore := 0
-	for _, c := range CoreNumbers(g) {
+	_, core := reduce.DegeneracyOrder(g)
+	for _, c := range core {
 		if c > maxCore {
 			maxCore = c
 		}
@@ -103,10 +60,4 @@ func UpperBound(g *graph.Graph, k int) int {
 		ub = d
 	}
 	return ub
-}
-
-// LowerBound returns the greedy heuristic size — a valid k-plex, so a
-// certified lower bound.
-func LowerBound(g *graph.Graph, k int) int {
-	return len(Greedy(g, k))
 }

@@ -7,32 +7,6 @@ import (
 	"repro/internal/graph"
 )
 
-func TestCoreNumbersTriangleWithTail(t *testing.T) {
-	// Triangle 0-1-2 plus pendant 3 attached to 0.
-	g := graph.FromEdges(4, [][2]int{{0, 1}, {1, 2}, {0, 2}, {0, 3}})
-	core := CoreNumbers(g)
-	want := []int{2, 2, 2, 1}
-	for v, w := range want {
-		if core[v] != w {
-			t.Errorf("core[%d] = %d, want %d (all: %v)", v, core[v], w, core)
-		}
-	}
-}
-
-func TestCoreNumbersClique(t *testing.T) {
-	g := graph.New(6)
-	for u := 0; u < 6; u++ {
-		for v := u + 1; v < 6; v++ {
-			g.AddEdge(u, v)
-		}
-	}
-	for v, c := range CoreNumbers(g) {
-		if c != 5 {
-			t.Errorf("core[%d] = %d, want 5", v, c)
-		}
-	}
-}
-
 func TestBoundsBracketOptimum(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	for trial := 0; trial < 40; trial++ {
@@ -43,7 +17,7 @@ func TestBoundsBracketOptimum(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			lb := LowerBound(g, k)
+			lb := len(Greedy(g, k))
 			ub := UpperBound(g, k)
 			if lb > opt.Size {
 				t.Fatalf("n=%d k=%d: lower bound %d exceeds optimum %d", n, k, lb, opt.Size)
@@ -77,7 +51,7 @@ func TestBoundsOnEmptyishGraphs(t *testing.T) {
 	if ub := UpperBound(g, 2); ub < 2 {
 		t.Errorf("edgeless k=2: ub = %d, want ≥ 2 (two isolated vertices)", ub)
 	}
-	if lb := LowerBound(g, 2); lb < 2 {
+	if lb := len(Greedy(g, 2)); lb < 2 {
 		t.Errorf("edgeless k=2: greedy lb = %d, want 2", lb)
 	}
 }

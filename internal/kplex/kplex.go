@@ -1,6 +1,7 @@
 // Package kplex provides the classical side of the reproduction: an exact
 // naive O*(2^n) enumerator, a branch-and-search exact solver in the style
-// of the paper's BS baseline (Xiao et al. 2017), and greedy / local-search
+// of the paper's BS baseline (Xiao et al. 2017), the exact
+// kernelize-then-search entry point BBOpt, and greedy / local-search
 // heuristics used for lower bounds and for seeding reductions.
 package kplex
 
@@ -207,19 +208,19 @@ type BBOptions struct {
 	DisableKernel bool
 }
 
-// BB finds a maximum k-plex with the kernelize-then-search pipeline:
-// greedy lower bound, iterated degree peeling against it, per-component
-// deterministic wave-parallel branch-and-bound over the kernel's
-// degeneracy order (fastoracle.BranchBoundCtx), answers lifted back to
-// original vertex ids. Works at any vertex count — the engine needs no
-// mask encoding. Nodes is the summed deterministic search cost, identical
-// at any worker count. Use BBOpt for cancellation.
+// BB is BBOpt under a background context with default options.
 func BB(g *graph.Graph, k int) (Result, error) {
 	return BBOpt(context.Background(), g, k, BBOptions{})
 }
 
-// BBOpt is BB with options and a context. Cancellation and deadline are
-// honoured at wave boundaries of the underlying branch-and-bound; on
+// BBOpt is the exact classical entry point. It finds a maximum k-plex
+// with the kernelize-then-search pipeline: greedy lower bound,
+// reduce.Kernelize against it, per-component deterministic wave-parallel
+// fastoracle.BranchBound over the kernel's degeneracy order, answers
+// lifted back to original vertex ids. Works at any vertex count — the
+// engine needs no mask encoding. Nodes is the summed deterministic
+// search cost, identical at any worker count. Cancellation and deadline
+// are honoured at wave boundaries of the branch-and-bound; on
 // cancellation the best incumbent found so far (never worse than the
 // greedy seed) comes back alongside an error wrapping ErrCanceled and
 // the context cause.
@@ -263,7 +264,8 @@ func BBOpt(ctx context.Context, g *graph.Graph, k int, opt BBOptions) (Result, e
 			sp.End()
 			return Result{}, fmt.Errorf("kplex: %w", err)
 		}
-		res, cerr := e.BranchBoundCtx(ctx, fastoracle.BBOptions{Seed: lb})
+		order, _ := reduce.DegeneracyOrder(g)
+		res, cerr := e.BranchBound(ctx, fastoracle.BBOptions{Seed: lb, Order: order})
 		nodes += res.Nodes
 		if res.Size > len(best) {
 			best = res.Set
@@ -308,7 +310,7 @@ func BBOpt(ctx context.Context, g *graph.Graph, k int, opt BBOptions) (Result, e
 				sp.End()
 				return Result{}, fmt.Errorf("kplex: %w", err)
 			}
-			res, cerr := e.BranchBoundCtx(ctx, fastoracle.BBOptions{
+			res, cerr := e.BranchBound(ctx, fastoracle.BBOptions{
 				MinSize: len(best),
 				Order:   restrictOrder(kern.Order, ids),
 			})
@@ -349,28 +351,6 @@ func restrictOrder(order []int, ids []int) []int {
 		}
 	}
 	return out
-}
-
-// MaxKPlex is the production entry point: it computes a greedy lower
-// bound, applies the core–truss co-pruning reduction targeting a strictly
-// better solution, runs the branch-and-bound on the reduced graph, and
-// lifts the answer back to original vertex ids. Works at any vertex
-// count — the engine needs no mask encoding.
-func MaxKPlex(g *graph.Graph, k int) (Result, error) {
-	lb := Greedy(g, k)
-	red := g.CoTrussPrune(k, len(lb)+1)
-	res, err := BB(red.Graph, k)
-	if err != nil {
-		return Result{}, err
-	}
-	if res.Size < len(lb) {
-		// Reduction targeted size lb+1; if nothing better survived, the
-		// greedy solution is optimal.
-		sorted := append([]int(nil), lb...)
-		sort.Ints(sorted)
-		return Result{Set: sorted, Size: len(lb), Nodes: res.Nodes}, nil
-	}
-	return Result{Set: red.LiftSet(res.Set), Size: res.Size, Nodes: res.Nodes}, nil
 }
 
 // Greedy builds a k-plex by repeated best-candidate insertion from every

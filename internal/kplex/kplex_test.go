@@ -68,30 +68,6 @@ func TestBSValidatesK(t *testing.T) {
 	}
 }
 
-func TestMaxKPlexWithReduction(t *testing.T) {
-	rng := rand.New(rand.NewSource(15))
-	for trial := 0; trial < 25; trial++ {
-		n := 8 + rng.Intn(5)
-		g := graph.Gnp(n, 0.4, rng.Int63())
-		for k := 1; k <= 3; k++ {
-			want, err := Naive(g, k)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := MaxKPlex(g, k)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got.Size != want.Size {
-				t.Fatalf("n=%d k=%d: MaxKPlex size %d != naive %d", n, k, got.Size, want.Size)
-			}
-			if !g.IsKPlex(got.Set, k) {
-				t.Fatalf("MaxKPlex returned a non-k-plex in ORIGINAL ids: %v", got.Set)
-			}
-		}
-	}
-}
-
 func TestGreedyReturnsValidPlex(t *testing.T) {
 	rng := rand.New(rand.NewSource(16))
 	for trial := 0; trial < 30; trial++ {

@@ -1,9 +1,10 @@
-// Package reduce is the kernelization pass in front of the exact
-// classical k-plex solver: shrink the instance with safe reduction rules
-// before branch-and-bound sees it, and hand the search the structural
-// orderings the rules produce along the way.
+// Package reduce is the one module that decides what an exact k-plex
+// search may drop and in which order it branches: it shrinks the
+// instance with safe reduction rules before branch-and-bound sees it,
+// and hands the search the structural orderings the rules produce along
+// the way.
 //
-// Three deterministic steps:
+// Three deterministic steps make a Kernel:
 //
 //   - iterated degree peeling: with a certified lower bound lb in hand the
 //     search only needs k-plexes of size ≥ lb+1, and every vertex of such
@@ -22,12 +23,12 @@
 //     prune immediately; the dense residue is searched last, when the
 //     incumbent is already strong.
 //
-// This is the classical mirror of the paper's pre-quantum reduction: the
-// ICDE paper integrates core–truss co-pruning (graph.CoTrussPrune) to fit
-// instances onto simulators, and notes the algorithms are orthogonal to
-// any reduction that preserves some maximum k-plex. Kernelize preserves
-// every k-plex of size ≥ lb+1, which is exactly what the bounded search
-// consumes.
+// CoTruss adds the paper's pre-quantum reduction on top: the ICDE paper
+// integrates the core–truss co-pruning of Chang et al. to fit instances
+// onto simulators, and notes the algorithms are orthogonal to any
+// reduction that preserves some maximum k-plex. Kernelize and CoTruss
+// both preserve every k-plex at or above their target size, which is
+// exactly what a bounded search consumes.
 package reduce
 
 import (
@@ -126,6 +127,50 @@ func Kernelize(g *graph.Graph, k, lb int) Kernel {
 	return kern
 }
 
+// CoTruss is the core–truss co-pruning of Chang et al. for a target
+// k-plex size q ≥ 1, the reduction the paper runs before qMKP. It
+// alternates two rules, each safe for every k-plex of size ≥ q:
+//
+//   - vertex (core) rule: a member has degree ≥ q-k inside the plex,
+//     hence in G. This is Kernelize(g, k, q-1).
+//   - edge (truss) rule: the endpoints of an edge inside the plex each
+//     miss at most k-1 members, so they share ≥ q-2k common neighbours.
+//     Edges of the kernel below that are deleted.
+//
+// The rules repeat until an edge pass deletes nothing. Both only delete,
+// so the fixed point is unique whatever the order. Map is composed
+// across rounds, and Order, Core and Comps describe the final Sub. Stats
+// covers the whole pass: N0 and M0 are g's, Peeled and Rounds sum over
+// every vertex peel. g is not modified.
+func CoTruss(g *graph.Graph, k, q int) Kernel {
+	kern := Kernelize(g, k, q-1)
+	st := kern.Stats
+	for {
+		// Sub is a fresh graph owned by kern, so the edge pass may edit it.
+		sub, deleted := kern.Sub, false
+		for _, e := range sub.Edges() {
+			if sub.CommonNeighbors(e[0], e[1]) < q-2*k {
+				sub.RemoveEdge(e[0], e[1])
+				deleted = true
+			}
+		}
+		if !deleted {
+			break
+		}
+		next := Kernelize(sub, k, q-1)
+		for i, v := range next.Map {
+			next.Map[i] = kern.Map[v]
+		}
+		st.Peeled += next.Stats.Peeled
+		st.Rounds += next.Stats.Rounds
+		kern = next
+	}
+	st.N, st.M = kern.Stats.N, kern.Stats.M
+	st.Components, st.Degeneracy = kern.Stats.Components, kern.Stats.Degeneracy
+	kern.Stats = st
+	return kern
+}
+
 // LiftSet maps a vertex set of the kernel back to original ids. The
 // result is a fresh slice in the kernel set's order.
 func (kn Kernel) LiftSet(set []int) []int {
@@ -140,7 +185,8 @@ func (kn Kernel) LiftSet(set []int) []int {
 // broken by lowest index) and the per-vertex core numbers: core[v] is the
 // largest c such that v survives in the c-core. The order is what the
 // branch-and-bound branches over — order[i]'s candidates are exactly the
-// later positions — and max(core) is the degeneracy of g.
+// later positions — and max(core) is the degeneracy of g. Each removal
+// scans every vertex for the minimum, so the peel costs O(n²+m).
 func DegeneracyOrder(g *graph.Graph) (order, core []int) {
 	n := g.N()
 	order = make([]int, 0, n)
