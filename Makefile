@@ -74,8 +74,7 @@ race:
 
 # Race detector over the wave-parallel branch-and-bound at a high worker
 # count: the worker-invariance and differential tests exercise the
-# ForScratch fan-out, the frozen-incumbent waves and the Lazy store's
-# atomic node accounting under contention.
+# ForScratch fan-out and the frozen-incumbent waves under contention.
 race-bb:
 	REPRO_WORKERS=8 $(GO) test -race -run 'BranchBound|Differential|KernelMatchesRaw' \
 		./internal/fastoracle/ ./internal/kplex/
@@ -98,8 +97,8 @@ bench-e2e-smoke:
 # Timed fast-path benchmarks rendered as JSON (cmd/benchjson) — the
 # artifact behind EXPERIMENTS.md's speedup table and the CI upload.
 # BENCH_ISSUE7.json captures the Table-vs-branch-and-bound crossover
-# (exhaustive 2^n sweep against pruned search as n grows past the
-# DefaultTableCutoff, plus the n=100 beyond-the-mask-wall point).
+# (exhaustive 2^n sweep against pruned search for one maximum query as n
+# grows, plus the n=100 beyond-the-mask-wall point).
 bench-json:
 	{ $(GO) test -run '^$$' -bench 'BenchmarkOracleSweep|BenchmarkQMKPBinarySearch' . ; \
 	  $(GO) test -run '^$$' -bench 'BenchmarkGreedy|BenchmarkEvaluatorSweep' ./internal/kplex/ ./internal/fastoracle/ ; } \
@@ -127,11 +126,12 @@ serve-smoke:
 	$(GO) build -o /tmp/qmkpd-smoke ./cmd/qmkpd
 	$(GO) run ./cmd/qmkp-load -spawn /tmp/qmkpd-smoke
 
-# Observability smoke: one seeded qMKP solve, traced twice at different
-# worker counts. The span/event stream and the metrics snapshot must be
-# bit-identical (the determinism contract of internal/obs, DESIGN.md §9).
-# The worker-1 outputs stay behind as OBS_TRACE.jsonl / OBS_METRICS.json
-# — the checked-in sample that CI regenerates and archives.
+# Observability smoke: one seeded qMKP solve and one seeded qTKP solve,
+# each traced twice at different worker counts. The span/event stream and
+# the metrics snapshot must be bit-identical (the determinism contract of
+# internal/obs, DESIGN.md §9). The qMKP worker-1 outputs stay behind as
+# OBS_TRACE.jsonl / OBS_METRICS.json — the checked-in sample that CI
+# regenerates and archives; the qTKP outputs go to /tmp only.
 obs-smoke:
 	REPRO_WORKERS=1 $(GO) run ./cmd/qmkp -algo qmkp -k 2 -gen 10,23 -seed 5 \
 		-trace-out OBS_TRACE.jsonl -metrics-out OBS_METRICS.json
@@ -139,7 +139,13 @@ obs-smoke:
 		-trace-out /tmp/obs-trace.w8.jsonl -metrics-out /tmp/obs-metrics.w8.json
 	cmp OBS_TRACE.jsonl /tmp/obs-trace.w8.jsonl
 	cmp OBS_METRICS.json /tmp/obs-metrics.w8.json
-	@echo "obs-smoke: trace and metrics bit-identical at 1 and 8 workers"
+	REPRO_WORKERS=1 $(GO) run ./cmd/qmkp -algo qtkp -k 2 -T 4 -gen 10,23 -seed 5 \
+		-trace-out /tmp/obs-qtkp-trace.w1.jsonl -metrics-out /tmp/obs-qtkp-metrics.w1.json
+	REPRO_WORKERS=8 $(GO) run ./cmd/qmkp -algo qtkp -k 2 -T 4 -gen 10,23 -seed 5 \
+		-trace-out /tmp/obs-qtkp-trace.w8.jsonl -metrics-out /tmp/obs-qtkp-metrics.w8.json
+	cmp /tmp/obs-qtkp-trace.w1.jsonl /tmp/obs-qtkp-trace.w8.jsonl
+	cmp /tmp/obs-qtkp-metrics.w1.json /tmp/obs-qtkp-metrics.w8.json
+	@echo "obs-smoke: qmkp and qtkp traces and metrics bit-identical at 1 and 8 workers"
 
 # The paper's gate-model outputs, pinned: Fig. 9 and Tables II-IV
 # regenerated at full budgets (about 1 s) must match their sections of

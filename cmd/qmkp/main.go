@@ -29,7 +29,7 @@
 //
 //	0  solved
 //	1  input/runtime error
-//	2  bad request (core.ErrBadSpec: empty graph, k or T out of range, unknown sampler)
+//	2  bad request (core.ErrBadSpec: empty graph, k, T or -gen out of range, R ≤ 1, unknown sampler)
 //	3  instance too large for the gate simulator (core.ErrTooLarge)
 //	4  verified infeasible (core.ErrInfeasible, qtkp only)
 //	5  canceled or timed out (core.ErrCanceled)
@@ -148,6 +148,9 @@ func run(args []string, w io.Writer) error {
 		return err
 	}
 	fmt.Fprintf(w, "input: %v, k=%d\n", g, *k)
+	if *algo != "qnclub" && *k < 1 {
+		return fmt.Errorf("k=%d must be ≥ 1: %w", *k, core.ErrBadSpec)
+	}
 	if *algo == "qtkp" && *tSize < 1 {
 		return fmt.Errorf("qtkp needs -T ≥ 1: %w", core.ErrBadSpec)
 	}
@@ -159,9 +162,6 @@ func run(args []string, w io.Writer) error {
 		// Every k-plex of that size survives; n-clubs need not.
 		if *algo == "qnclub" {
 			return fmt.Errorf("-reduce preserves k-plexes, not n-clubs: %w", core.ErrBadSpec)
-		}
-		if *k < 1 {
-			return fmt.Errorf("k=%d must be ≥ 1: %w", *k, core.ErrBadSpec)
 		}
 		q := *tSize
 		if *algo != "qtkp" {
@@ -349,6 +349,9 @@ func loadGraph(file, gen, dataset string, seed int64) (*graph.Graph, error) {
 		var n, m int
 		if _, err := fmt.Sscanf(strings.ReplaceAll(gen, " ", ""), "%d,%d", &n, &m); err != nil {
 			return nil, fmt.Errorf("bad -gen %q: want n,m", gen)
+		}
+		if n < 1 || m < 0 || m > n*(n-1)/2 {
+			return nil, fmt.Errorf("bad -gen %q: want n ≥ 1 and 0 ≤ m ≤ n(n-1)/2: %w", gen, core.ErrBadSpec)
 		}
 		return graph.Gnm(n, m, seed), nil
 	default:

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/api"
 	"repro/internal/core"
 	"repro/internal/graph"
 )
@@ -78,10 +79,37 @@ func TestReduceErrors(t *testing.T) {
 	}{
 		{"-algo qtkp -k 3 -T 6 -gen 13,20", core.ErrInfeasible},
 		{"-algo qnclub -gen 13,20", core.ErrBadSpec},
+		{"-algo bb -k 0 -gen 13,20", core.ErrBadSpec},
 	} {
 		var out bytes.Buffer
 		if err := run(strings.Fields(tc.args+" -seed 1 -reduce"), &out); !errors.Is(err, tc.want) {
 			t.Errorf("%s: err = %v, want %v\n%s", tc.args, err, tc.want, out.String())
+		}
+	}
+}
+
+// Bad inputs are bad requests (exit 2), never a panic or an answer: a
+// -gen edge count outside [0, n(n-1)/2], and k < 1 for every k-plex
+// algorithm.
+func TestBadInputErrors(t *testing.T) {
+	for _, args := range []string{
+		"-algo bb -gen 3,10",
+		"-algo bb -gen 3,-1",
+		"-algo bb -gen -2,0",
+		"-algo greedy -k 0 -gen 13,20",
+		"-algo tabu -k 0 -gen 13,20",
+		"-algo bb -k 0 -gen 13,20",
+		"-algo bs -k 0 -gen 13,20",
+		"-algo naive -k 0 -gen 13,20",
+		"-algo qmkp -k 0 -gen 13,20",
+	} {
+		var out bytes.Buffer
+		err := run(strings.Fields(args+" -seed 1"), &out)
+		if !errors.Is(err, core.ErrBadSpec) || api.ExitCode(err) != 2 {
+			t.Errorf("%s: err = %v (exit %d), want %v (exit 2)\n%s", args, err, api.ExitCode(err), core.ErrBadSpec, out.String())
+		}
+		if strings.Contains(out.String(), "solution:") {
+			t.Errorf("%s: printed an answer:\n%s", args, out.String())
 		}
 	}
 }

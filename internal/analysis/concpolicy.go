@@ -56,8 +56,9 @@ type ConcurrencyPolicy struct {
 }
 
 // DefaultConcurrencyPolicy is the contract of the current tree: the
-// worker pool is the only spawner, and the two packages its workers call
-// into hold only the coordination-free primitives they need.
+// worker pool is the only solver-side spawner, the metrics its workers
+// bump hold only coordination-free primitives, and the daemon owns its
+// request lifecycle.
 func DefaultConcurrencyPolicy() *ConcurrencyPolicy {
 	return &ConcurrencyPolicy{
 		Version: 1,
@@ -73,12 +74,6 @@ func DefaultConcurrencyPolicy() *ConcurrencyPolicy {
 				Allow:   []string{"mutex", "atomic"},
 				Reason: "metrics counters and gauges are bumped from pool workers; atomic cells and " +
 					"one registry mutex keep snapshots consistent without ordering effects",
-			},
-			{
-				Package: "internal/fastoracle",
-				Allow:   []string{"once", "atomic"},
-				Reason: "the Lazy store memoizes MaxPlexSize behind sync.Once and accounts search " +
-					"nodes atomically under the pool",
 			},
 			{
 				Package: "internal/server",

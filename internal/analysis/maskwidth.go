@@ -230,7 +230,7 @@ func (p *Package) classifyGuardFn(fd *ast.FuncDecl, fn *types.Func) (kind, detai
 		return "", ""
 	}
 	// guardpred: single bool result whose returned expression carries a
-	// width-ok conjunct (core.fastPathOK's `n <= 64 && …` shape).
+	// width-ok conjunct (an `n <= 64 && …` shape).
 	if sig.Results().Len() == 1 && types.Identical(sig.Results().At(0).Type(), types.Typ[types.Bool]) {
 		found := false
 		ast.Inspect(fd.Body, func(n ast.Node) bool {

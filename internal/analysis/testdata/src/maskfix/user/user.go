@@ -38,7 +38,7 @@ func BailGuard(set []int, n int) uint64 {
 	return bitapi.Mask(set, n)
 }
 
-// fits is the guard-predicate form (the fixture fastPathOK): its bool
+// fits is the guard-predicate form (a width-guard helper): its bool
 // result implies the bound.
 func fits(n int) bool { return n <= 64 }
 

@@ -27,6 +27,7 @@ import (
 	"math/rand"
 	"time"
 
+	"repro/internal/fastoracle"
 	"repro/internal/graph"
 	"repro/internal/grover"
 	"repro/internal/obs"
@@ -58,10 +59,11 @@ type GateOptions struct {
 	// paper's remark that "upper bounding techniques can also be
 	// integrated into the binary search process of qMKP".
 	UseClassicalBounds bool
-	// DisableFastPath forces every oracle evaluation through circuit
-	// replay. The default (fast path on, for n ≤ 64) answers the same
-	// predicate semantically — truth tables, counts, and measurement
-	// draws are bit-identical either way; only wall-clock changes.
+	// DisableFastPath makes every probe sweep the compiled circuit's
+	// truth table. The default answers the same predicate from one
+	// exhaustive k-plex table built per request — counts and
+	// measurement draws are bit-identical either way; only wall-clock
+	// changes.
 	DisableFastPath bool
 }
 
@@ -103,12 +105,6 @@ type TKPResult struct {
 	WallTime time.Duration // simulator wall clock
 }
 
-// fastPathOK reports whether the semantic fast path applies: the mask
-// encoding is a single word and the caller did not opt out.
-func fastPathOK(n int, o GateOptions) bool {
-	return n <= 64 && !o.DisableFastPath
-}
-
 // QTKP finds a k-plex of size ≥ T in g, or reports absence (Algorithm 2).
 // It is SolveTKP under context.Background() with verified absence folded
 // back into (Found=false, nil error) — the original signature's
@@ -122,16 +118,49 @@ func QTKP(g *graph.Graph, k, T int, opt *GateOptions) (TKPResult, error) {
 	return res, err
 }
 
-// runTKP is one QTKP probe against a compiled oracle: truth-table sweep,
-// exact count, then the Grover engine.
+// probeSource is where every QTKP probe of one gate-model request gets
+// its predicate "k-plex of size ≥ T" and exact solution count M. The
+// k-plex half does not depend on T, so one exhaustive fastoracle.Table,
+// built once per request, answers every probe: a word lookup per
+// predicate call and a histogram suffix sum for M. Under DisableFastPath
+// tab is nil and each probe sweeps the compiled circuit's truth table
+// instead — the reference the table is pinned to.
+type probeSource struct {
+	tab  *fastoracle.Table
+	hits *obs.Counter // fastoracle.table.hits; nil when metrics are off
+}
+
+// newProbeSource builds the request's table unless the options disable
+// the fast path.
+func newProbeSource(g *graph.Graph, k int, o GateOptions, mx *obs.Metrics) (probeSource, error) {
+	if o.DisableFastPath {
+		return probeSource{}, nil
+	}
+	tab, err := fastoracle.NewStore(g, k)
+	if err != nil {
+		return probeSource{}, err
+	}
+	return probeSource{tab: tab, hits: mx.Counter("fastoracle.table.hits")}, nil
+}
+
+// probe runs one QTKP probe against the oracle compiled for its
+// threshold. The oracle always supplies the gate count.
+func (s probeSource) probe(ctx context.Context, g *graph.Graph, orc *oracle.Oracle, o GateOptions, ob obs.Obs) (TKPResult, error) {
+	if s.tab == nil {
+		return runTKP(ctx, g, orc, o, ob)
+	}
+	return runTKPPred(ctx, g.N(), s.tab.CountedPredicate(orc.T, s.hits), s.tab.CountAtLeast(orc.T), int64(orc.TotalGates()), o, ob)
+}
+
+// runTKP is one QTKP probe against a compiled oracle: circuit truth-table
+// sweep, exact count, then the Grover engine.
 func runTKP(ctx context.Context, g *graph.Graph, orc *oracle.Oracle, o GateOptions, ob obs.Obs) (TKPResult, error) {
 	if cerr := ctx.Err(); cerr != nil {
 		// Check before the 2^n sweep: the truth table is the expensive
 		// half of a probe and cannot be usefully partial.
 		return TKPResult{}, cerr
 	}
-	// The 2^n sweep fans out over the internal/parallel worker pool
-	// (semantic word arithmetic when the oracle's fast path is on); the
+	// The 2^n sweep fans out over the internal/parallel worker pool; the
 	// cached table then serves the Grover engine's one marked-set sweep
 	// as a plain (concurrent-safe) lookup.
 	tt := orc.TruthTable()
@@ -147,8 +176,9 @@ func runTKP(ctx context.Context, g *graph.Graph, orc *oracle.Oracle, o GateOptio
 
 // runTKPPred is the engine behind QTKP once the predicate and its exact
 // solution count are known, however they were obtained — a truth-table
-// sweep (runTKP) or the cross-threshold cplex table (SolveMKP). Given the
-// same (pred, m, gates, rng) it is bit-identical across those sources.
+// sweep (runTKP) or the cross-threshold cplex table (probeSource). Given
+// the same (pred, m, gates, rng) it is bit-identical across those
+// sources.
 func runTKPPred(ctx context.Context, n int, pred func(uint64) bool, m int, gates int64, o GateOptions, ob obs.Obs) (TKPResult, error) {
 	if n > 64 {
 		// The Grover register and the measured-mask decoding are one-word;

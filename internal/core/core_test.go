@@ -1,9 +1,13 @@
 package core
 
 import (
+	"context"
+	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 
+	"repro/internal/fastoracle"
 	"repro/internal/graph"
 	"repro/internal/kplex"
 	"repro/internal/oracle"
@@ -268,6 +272,93 @@ func TestQTKPFastPathBitIdenticalToCircuit(t *testing.T) {
 	for i := range fast.Set {
 		if fast.Set[i] != circ.Set[i] {
 			t.Fatalf("sets differ: %v vs %v", fast.Set, circ.Set)
+		}
+	}
+}
+
+// The gate path above 20 vertices, pinned. The solver once switched from
+// the exhaustive table to an on-demand store past n = 20; these answers
+// were recorded from that store, and the one table behind every probe
+// must reproduce them: sets, progress streams, oracle calls and gates.
+func TestGatePathPinnedAboveTwentyVertices(t *testing.T) {
+	if MaxGateVertices > fastoracle.TableMaxVertices {
+		t.Fatalf("MaxGateVertices = %d exceeds fastoracle.TableMaxVertices = %d: some gate instance would get no table",
+			MaxGateVertices, fastoracle.TableMaxVertices)
+	}
+	type mkpWant struct {
+		bounds   bool
+		set      []int
+		progress []ProgressPoint
+		calls    int
+		gates    int64
+	}
+	type tkpWant struct {
+		T, m, iterations, calls int
+		set                     []int
+		gates                   int64
+	}
+	for _, c := range []struct {
+		n, m int
+		mkp  []mkpWant
+		tkp  tkpWant
+	}{
+		{21, 63, []mkpWant{
+			{false, []int{0, 4, 5, 7, 20}, []ProgressPoint{
+				{T: 11, CumGates: 18303447},
+				{T: 6, CumGates: 36604620},
+				{T: 3, Found: true, Size: 3, Set: []int{1, 8, 9}, CumGates: 37473825},
+				{T: 5, Found: true, Size: 5, Set: []int{0, 4, 5, 7, 20}, CumGates: 42753334},
+			}, 2660, 42753334},
+			{true, []int{0, 2, 5, 7, 9}, []ProgressPoint{
+				{T: 6, CumGates: 18301173},
+				{T: 5, Found: true, Size: 5, Set: []int{0, 2, 4, 9, 17}, CumGates: 23580682},
+			}, 1467, 23580682},
+		}, tkpWant{T: 6, m: 0, iterations: 1137, calls: 1138, gates: 18301173}},
+		{22, 110, []mkpWant{
+			{false, []int{0, 3, 8, 11, 20, 21}, []ProgressPoint{
+				{T: 12, CumGates: 20900806},
+				{T: 6, Found: true, Size: 6, Set: []int{0, 3, 8, 11, 20, 21}, CumGates: 23591414},
+				{T: 9, CumGates: 44492220},
+				{T: 8, CumGates: 65389810},
+				{T: 7, CumGates: 86293832},
+			}, 6644, 86293832},
+			{true, []int{0, 1, 3, 4, 8, 20}, []ProgressPoint{
+				{T: 8, CumGates: 20897590},
+				{T: 7, CumGates: 41801612},
+				{T: 6, Found: true, Size: 6, Set: []int{1, 3, 7, 13, 15, 20}, CumGates: 44492220},
+			}, 3426, 44492220},
+		}, tkpWant{T: 6, m: 60, iterations: 207, calls: 208, set: []int{1, 3, 8, 13, 18, 21}, gates: 2690608}},
+	} {
+		g := graph.Gnm(c.n, c.m, 1)
+		for _, w := range c.mkp {
+			res, err := SolveMKP(context.Background(), g, Spec{Algo: AlgoMKP, K: 2,
+				Gate: &GateOptions{Rng: rand.New(rand.NewSource(1)), UseClassicalBounds: w.bounds}})
+			if err != nil {
+				t.Fatalf("G(%d,%d) bounds=%v: %v", c.n, c.m, w.bounds, err)
+			}
+			if !slices.Equal(res.Set, w.set) || res.Size != len(w.set) || res.OracleCalls != w.calls || res.Gates != w.gates {
+				t.Errorf("G(%d,%d) bounds=%v: set %v (size %d), %d calls, %d gates; want %v, %d calls, %d gates",
+					c.n, c.m, w.bounds, res.Set, res.Size, res.OracleCalls, res.Gates, w.set, w.calls, w.gates)
+			}
+			if len(res.Progress) != len(w.progress) {
+				t.Fatalf("G(%d,%d) bounds=%v: %d probes, want %d", c.n, c.m, w.bounds, len(res.Progress), len(w.progress))
+			}
+			for i, p := range res.Progress {
+				q := w.progress[i]
+				if p.T != q.T || p.Found != q.Found || p.Size != q.Size || !slices.Equal(p.Set, q.Set) || p.CumGates != q.CumGates {
+					t.Errorf("G(%d,%d) bounds=%v probe %d: %+v, want %+v", c.n, c.m, w.bounds, i, p, q)
+				}
+			}
+		}
+		w := c.tkp
+		res, err := SolveTKP(context.Background(), g, Spec{Algo: AlgoTKP, K: 2, T: w.T,
+			Gate: &GateOptions{Rng: rand.New(rand.NewSource(1))}})
+		if w.set == nil && !errors.Is(err, ErrInfeasible) || w.set != nil && err != nil {
+			t.Fatalf("G(%d,%d) T=%d: err = %v", c.n, c.m, w.T, err)
+		}
+		if res.Found != (w.set != nil) || !slices.Equal(res.Set, w.set) || res.M != w.m ||
+			res.Iterations != w.iterations || res.OracleCalls != w.calls || res.Gates != w.gates {
+			t.Errorf("G(%d,%d) T=%d: %+v, want %+v", c.n, c.m, w.T, res, w)
 		}
 	}
 }

@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/anneal"
 	"repro/internal/embedding"
-	"repro/internal/fastoracle"
 	"repro/internal/graph"
 	"repro/internal/kplex"
 	"repro/internal/obs"
@@ -30,8 +29,10 @@ const (
 // itself holds only two amplitudes and a 2^n-bit marked set (3 MiB at
 // 24 vertices), but every probe still sweeps the oracle predicate over
 // all 2^n subsets, and Engine.State's on-demand dense copy costs 16·2^n
-// bytes, so 24 vertices is the practical ceiling. Larger instances
-// return ErrTooLarge; the annealing path has no such cap.
+// bytes, so 24 vertices is the practical ceiling. It also keeps every
+// gate-model instance within fastoracle.TableMaxVertices, so one k-plex
+// table serves every probe. Larger instances return ErrTooLarge; the
+// annealing path has no such cap.
 const MaxGateVertices = 24
 
 // Spec is a solve request. Exactly the fields relevant to Algo are
@@ -119,20 +120,21 @@ func SolveTKP(ctx context.Context, g *graph.Graph, spec Spec) (TKPResult, error)
 	}
 	o := spec.Gate.withDefaults(n)
 	start := time.Now()
+	src, err := newProbeSource(g, spec.K, o, spec.Obs.Metrics)
+	if err != nil {
+		return TKPResult{}, err
+	}
 	tr := spec.Obs.Trace
 	var sp *obs.SpanHandle
 	if tr.Enabled() {
 		sp = tr.Start("qtkp", obs.Int("n", n), obs.Int("k", spec.K), obs.Int("T", spec.T))
 	}
-	orc, err := oracle.BuildOpts(g, spec.K, spec.T, oracle.Options{
-		FastPath: fastPathOK(n, o),
-		Metrics:  spec.Obs.Metrics,
-	})
+	orc, err := oracle.BuildOpts(g, spec.K, spec.T, oracle.Options{Metrics: spec.Obs.Metrics})
 	if err != nil {
 		sp.End()
 		return TKPResult{}, err
 	}
-	res, err := runTKP(ctx, g, orc, o, spec.Obs)
+	res, err := src.probe(ctx, g, orc, o, spec.Obs)
 	res.WallTime = time.Since(start)
 	if sp != nil {
 		sp.End(obs.Bool("found", res.Found), obs.Int("size", len(res.Set)))
@@ -165,25 +167,14 @@ func SolveMKP(ctx context.Context, g *graph.Graph, spec Spec) (MKPResult, error)
 	tr := spec.Obs.Trace
 	mx := spec.Obs.Metrics
 
-	// Cross-threshold cache: the k-plex half of the oracle predicate does
-	// not depend on T, so one store serves every probe of the binary
-	// search — each probe's predicate is a cached (or lazily evaluated)
-	// query and its exact solution count M(T) comes from the store,
-	// instead of a fresh per-T sweep. Gate-simulable instances sit far
-	// below fastoracle.DefaultTableCutoff, so this path always gets the
-	// packed exhaustive Table and stays bit-identical to the circuit.
-	var tab fastoracle.Store
-	if fastPathOK(n, o) {
-		tab, err = fastoracle.NewStore(g, k)
-		if err != nil {
-			return MKPResult{}, err
-		}
+	src, err := newProbeSource(g, k, o, mx)
+	if err != nil {
+		return MKPResult{}, err
 	}
-	tabHits := mx.Counter("fastoracle.table.hits") // nil when metrics are off
 
 	var root *obs.SpanHandle
 	if tr.Enabled() {
-		root = tr.Start("qmkp", obs.Int("n", n), obs.Int("k", k), obs.Bool("fastpath", tab != nil))
+		root = tr.Start("qmkp", obs.Int("n", n), obs.Int("k", k), obs.Bool("fastpath", src.tab != nil))
 	}
 
 	var out MKPResult
@@ -199,12 +190,6 @@ func SolveMKP(ctx context.Context, g *graph.Graph, spec Spec) (MKPResult, error)
 			mx.Add("core.qmkp.oracle_calls", int64(out.OracleCalls))
 			mx.Add("core.qmkp.gates", out.Gates)
 			mx.SetGauge("core.qmkp.error_probability", missProb)
-			if lz, ok := tab.(*fastoracle.Lazy); ok {
-				// The lazy store answers by deterministic search; surface
-				// its cumulative tree size under the same counter the
-				// exact classical path (kplex.BBOpt) reports.
-				mx.Add("fastoracle.bb.nodes", lz.SearchNodes())
-			}
 		}
 		if root != nil {
 			root.End(obs.Int("size", out.Size), obs.Int("probes", len(out.Progress)))
@@ -240,8 +225,8 @@ func SolveMKP(ctx context.Context, g *graph.Graph, spec Spec) (MKPResult, error)
 		}
 		T := (lo + hi + 1) / 2
 		// The circuit is still compiled per probe: gate counts and QPU
-		// time modelling come from it whichever path answers queries.
-		orc, err := oracle.BuildOpts(g, k, T, oracle.Options{FastPath: tab != nil, Metrics: mx})
+		// time modelling come from it whichever source answers queries.
+		orc, err := oracle.BuildOpts(g, k, T, oracle.Options{Metrics: mx})
 		if err != nil {
 			finish()
 			return out, err
@@ -250,12 +235,7 @@ func SolveMKP(ctx context.Context, g *graph.Graph, spec Spec) (MKPResult, error)
 		if tr.Enabled() {
 			sp = tr.Start("qmkp.probe", obs.Int("T", T), obs.Int("lo", lo), obs.Int("hi", hi))
 		}
-		var probe TKPResult
-		if tab != nil {
-			probe, err = runTKPPred(ctx, n, tab.CountedPredicate(T, tabHits), tab.CountAtLeast(T), int64(orc.TotalGates()), o, spec.Obs)
-		} else {
-			probe, err = runTKP(ctx, g, orc, o, spec.Obs)
-		}
+		probe, err := src.probe(ctx, g, orc, o, spec.Obs)
 		// Cost performed so far counts even when the probe was cut short.
 		out.OracleCalls += probe.OracleCalls
 		out.Gates += probe.Gates
@@ -324,6 +304,9 @@ func SolveAnneal(ctx context.Context, g *graph.Graph, spec Spec) (QAResult, erro
 		return QAResult{}, fmt.Errorf("core: k=%d out of range [1,%d]: %w", spec.K, g.N(), ErrBadSpec)
 	}
 	o := spec.Anneal.annealDefaults()
+	if !(o.R > 1) { // NaN included
+		return QAResult{}, fmt.Errorf("core: penalty R=%v must exceed 1: %w", o.R, ErrBadSpec)
+	}
 	enc, err := qubo.FormulateMKP(g, spec.K, o.R)
 	if err != nil {
 		return QAResult{}, err

@@ -74,6 +74,10 @@ func TestSolveBadSpecSentinels(t *testing.T) {
 			_, err := SolveAnneal(ctx, g, Spec{Algo: AlgoAnneal, K: 2, Anneal: &AnnealOptions{Sampler: "bogus"}})
 			return err
 		}, ErrBadSpec},
+		{"penalty R at most 1", func() error {
+			_, err := SolveAnneal(ctx, g, Spec{Algo: AlgoAnneal, K: 2, Anneal: &AnnealOptions{R: 1}})
+			return err
+		}, ErrBadSpec},
 		{"gate cap", func() error {
 			_, err := SolveMKP(ctx, graph.Gnm(MaxGateVertices+1, 40, 1), Spec{Algo: AlgoMKP, K: 2})
 			return err

@@ -5,14 +5,15 @@
 // the compiled reversible circuit. One oracle evaluation drops from
 // O(gates) (thousands of gate operations) to O(|mask|) word operations.
 //
-// The package also provides the cross-threshold cache behind qMKP's
-// binary search: the k-cplex half of the predicate does not depend on the
-// size threshold T, so Table packs one bit per mask ("is this subset a
-// k-plex of g") plus a popcount histogram, computed once via the parallel
-// worker pool and reused across every probe — only the popcount-vs-T
-// comparison changes per binary-search step, and the exact solution count
-// M(T) needed to size the Grover iteration schedule becomes an O(n)
-// suffix sum instead of a fresh 2^n sweep.
+// The package also provides the cross-threshold cache behind every
+// gate-model probe (qTKP's one probe, qMKP's binary search): the k-cplex
+// half of the predicate does not depend on the size threshold T, so
+// Table packs one bit per mask ("is this subset a k-plex of g") plus a
+// popcount histogram, computed once per request via the parallel worker
+// pool and reused across every probe — only the popcount-vs-T comparison
+// changes per probe, and the exact solution count M(T) needed to size
+// the Grover iteration schedule becomes an O(n) suffix sum instead of a
+// fresh 2^n sweep.
 //
 // The circuit simulator (internal/oracle) remains the ground truth:
 // differential tests and FuzzFastOracle assert this package agrees with
@@ -30,10 +31,8 @@ import (
 	"repro/internal/parallel"
 )
 
-// ErrTooLarge marks an instance beyond a representation's capacity: the
-// exhaustive Table above TableMaxVertices, or the one-word mask surface
-// above 64 vertices. core maps it onto its own ErrTooLarge sentinel;
-// callers branch with errors.Is.
+// ErrTooLarge marks an instance above TableMaxVertices, past which the
+// exhaustive Table is not built. Callers branch with errors.Is.
 var ErrTooLarge = errors.New("fastoracle: instance too large")
 
 // Evaluator answers the oracle predicate for one fixed graph and k, at
@@ -154,16 +153,31 @@ const tableGrain = 64
 // packed bits is the largest sweep worth materialising. The cap also
 // fixes a latent overflow — the old `1 << n` table size silently wrapped
 // to 0 at n=64, so Contains indexed an empty word slice and panicked.
+// core.MaxGateVertices stays at or below it, so every gate-model
+// instance gets the table.
 const TableMaxVertices = 30
 
 // Table is the packed cross-threshold cplex cache: bit mask of word
 // mask/64 records whether that subset is a k-plex of g, and bySize[s]
 // counts the k-plex masks of popcount s. Built once per (g, k), shared by
-// every threshold of a binary search. Safe for concurrent reads.
+// every probe threshold of a gate-model request. Safe for concurrent
+// reads.
 type Table struct {
 	n      int
 	words  []uint64
 	bySize []int
+}
+
+// NewStore builds the Table for (g, k): the one k-plex cache behind
+// every probe of a gate-model request. Above TableMaxVertices it returns
+// an ErrTooLarge-wrapped error; the exact answer for those instances
+// comes from Evaluator.BranchBound, which has no mask surface to cache.
+func NewStore(g *graph.Graph, k int) (*Table, error) {
+	e, err := New(g, k)
+	if err != nil {
+		return nil, err
+	}
+	return e.Table()
 }
 
 // Table sweeps all 2^n masks through the semantic predicate, fanning
@@ -172,8 +186,7 @@ type Table struct {
 // worker count. Instances above TableMaxVertices return ErrTooLarge: the
 // shift `1 << n` is undefined word-width territory at n=64 (it used to
 // wrap the table size to 0 and panic on the first Contains probe), and
-// sweeps beyond 2^30 masks are not worth materialising — use NewStore,
-// which falls back to the Lazy store there.
+// sweeps beyond 2^30 masks are not worth materialising.
 func (e *Evaluator) Table() (*Table, error) {
 	if e.n > TableMaxVertices {
 		return nil, fmt.Errorf("fastoracle: exhaustive table needs n ≤ %d, got n=%d: %w", TableMaxVertices, e.n, ErrTooLarge)

@@ -3,12 +3,10 @@ package fastoracle
 import (
 	"errors"
 	"fmt"
-	"math/rand"
 	"testing"
 
 	"repro/internal/graph"
 	"repro/internal/obs"
-	"repro/internal/reduce"
 )
 
 // Regression: Table() used to compute `size := 1 << n`, which wraps to 0
@@ -42,142 +40,58 @@ func TestTableTooLargeBoundary(t *testing.T) {
 	}
 }
 
+// NewStore serves the exhaustive Table up to TableMaxVertices and a
+// typed error past it, including beyond the one-word mask encoding.
 func TestNewStoreCutover(t *testing.T) {
-	small, err := NewStore(graph.Gnm(10, 20, 1), 2)
+	g := graph.Gnm(10, 20, 1)
+	tab, err := NewStore(g, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := small.(*Table); !ok {
-		t.Fatalf("n=10 store is %T, want *Table", small)
-	}
-	big, err := NewStore(graph.Gnm(DefaultTableCutoff+2, 40, 2), 2)
+	e, err := New(g, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := big.(*Lazy); !ok {
-		t.Fatalf("n=%d store is %T, want *Lazy", DefaultTableCutoff+2, big)
+	for mask := uint64(0); mask < 1<<10; mask++ {
+		if tab.Contains(mask) != e.KPlexMask(mask) {
+			t.Fatalf("mask=%b: store disagrees with the evaluator", mask)
+		}
 	}
-	if _, err := NewStore(graph.New(65), 1); !errors.Is(err, ErrTooLarge) {
-		t.Fatalf("n=65 store: want ErrTooLarge, got %v", err)
-	}
-}
-
-// The two Store representations must be bit-identical wherever both are
-// defined: sweep every mask and every threshold on instances small
-// enough to hold the exhaustive table.
-func TestLazyMatchesTableExhaustive(t *testing.T) {
-	rng := rand.New(rand.NewSource(54))
-	for trial := 0; trial < 12; trial++ {
-		n := 3 + rng.Intn(9)
-		g := graph.Gnp(n, 0.2+rng.Float64()*0.6, rng.Int63())
-		k := 1 + rng.Intn(3)
-		if k > n {
-			k = n
-		}
-		e, err := New(g, k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		tab, err := e.Table()
-		if err != nil {
-			t.Fatal(err)
-		}
-		order, _ := reduce.DegeneracyOrder(g)
-		lazy := &Lazy{e: e, order: order}
-		if lazy.N() != tab.N() {
-			t.Fatalf("N mismatch: %d vs %d", lazy.N(), tab.N())
-		}
-		for mask := uint64(0); mask < 1<<uint(n); mask++ {
-			if lazy.Contains(mask) != tab.Contains(mask) {
-				t.Fatalf("n=%d k=%d mask=%b: Contains disagrees", n, k, mask)
-			}
-		}
-		for T := -1; T <= n+1; T++ {
-			if got, want := lazy.CountAtLeast(T), tab.CountAtLeast(T); got != want {
-				t.Fatalf("n=%d k=%d T=%d: lazy CountAtLeast=%d, table says %d", n, k, T, got, want)
-			}
-			for _, mask := range []uint64{0, 1, (1 << uint(n)) - 1, uint64(rng.Intn(1 << uint(n)))} {
-				if lazy.Marked(mask, T) != tab.Marked(mask, T) {
-					t.Fatalf("n=%d k=%d T=%d mask=%b: Marked disagrees", n, k, T, mask)
-				}
-				if lazy.Predicate(T)(mask) != tab.Predicate(T)(mask) {
-					t.Fatalf("n=%d k=%d T=%d mask=%b: Predicate disagrees", n, k, T, mask)
-				}
-			}
-		}
-		if got, want := lazy.MaxPlexSize(), tab.MaxPlexSize(); got != want {
-			t.Fatalf("n=%d k=%d: lazy MaxPlexSize=%d, table says %d", n, k, got, want)
+	for _, n := range []int{TableMaxVertices + 1, 64, 65} {
+		if s, err := NewStore(graph.New(n), 1); !errors.Is(err, ErrTooLarge) || s != nil {
+			t.Fatalf("n=%d store: got (%v, %v), want (nil, ErrTooLarge)", n, s, err)
 		}
 	}
 }
 
-// Above the cutover NewStore hands out the Lazy store; its counts must
-// still agree with a directly-built Table (which holds up to n=30).
-func TestStoreAboveCutoverMatchesTable(t *testing.T) {
-	n := DefaultTableCutoff + 2
-	g := graph.Gnm(n, 2*n, 9)
-	k := 2
-	s, err := NewStore(g, k)
+// CountedPredicate counts every lookup and leaves the answers unchanged;
+// a nil counter returns the plain predicate.
+func TestTableCountedPredicate(t *testing.T) {
+	tab, err := NewStore(graph.Gnm(12, 30, 4), 2)
 	if err != nil {
 		t.Fatal(err)
-	}
-	e, err := New(g, k)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tab, err := e.Table()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := s.MaxPlexSize(), tab.MaxPlexSize(); got != want {
-		t.Fatalf("MaxPlexSize: store=%d table=%d", got, want)
-	}
-	// Counting near the top is what the binary search exercises; tiny
-	// thresholds would enumerate every subset of size ≤ k and beyond.
-	for T := tab.MaxPlexSize() - 2; T <= n; T++ {
-		if got, want := s.CountAtLeast(T), tab.CountAtLeast(T); got != want {
-			t.Fatalf("T=%d: store CountAtLeast=%d, table says %d", T, got, want)
-		}
-	}
-	rng := rand.New(rand.NewSource(55))
-	for i := 0; i < 2000; i++ {
-		mask := rng.Uint64() & ((1 << uint(n)) - 1)
-		if s.Contains(mask) != tab.Contains(mask) {
-			t.Fatalf("mask=%b: store Contains disagrees with table", mask)
-		}
-	}
-}
-
-func TestLazyCountedPredicate(t *testing.T) {
-	s, err := NewStore(graph.Gnm(DefaultTableCutoff+1, 50, 4), 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lazy, ok := s.(*Lazy)
-	if !ok {
-		t.Fatalf("store is %T, want *Lazy", s)
 	}
 	var hits obs.Counter
-	pred := lazy.CountedPredicate(3, &hits)
+	pred := tab.CountedPredicate(3, &hits)
 	for mask := uint64(0); mask < 100; mask++ {
-		if pred(mask) != lazy.Marked(mask, 3) {
+		if pred(mask) != tab.Marked(mask, 3) {
 			t.Fatalf("counted predicate changed the answer at mask=%d", mask)
 		}
 	}
 	if got := hits.Value(); got != 100 {
 		t.Fatalf("hit counter = %d, want 100", got)
 	}
-	if lazy.CountedPredicate(3, nil)(1) != lazy.Marked(1, 3) {
+	if tab.CountedPredicate(3, nil)(1) != tab.Marked(1, 3) {
 		t.Fatal("nil-counter predicate disagrees")
 	}
 }
 
 // BenchmarkStoreCrossover times the two ways of answering "what is the
 // maximum k-plex size" as n grows: the exhaustive Table sweep (2^n
-// semantic evaluations, parallel) against the lazy branch-and-bound
-// (pruned search, serial). The Table wins while 2^n is small; the
-// crossover motivates DefaultTableCutoff — past it the sweep's
-// exponential wall dwarfs the search tree.
+// semantic evaluations, parallel) against branch-and-bound (pruned
+// search). The Table wins only while 2^n is small; it stays the gate
+// path's cache because one sweep serves every probe of a request, while
+// a single maximum query is cheaper by search.
 func BenchmarkStoreCrossover(b *testing.B) {
 	for _, n := range []int{12, 16, 20, 24} {
 		g := graph.Gnm(n, 3*n, 21)

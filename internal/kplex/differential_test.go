@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"repro/internal/fastoracle"
 	"repro/internal/graph"
 	"repro/internal/kplex"
 	"repro/internal/milp"
@@ -13,30 +12,25 @@ import (
 	"repro/internal/qubo"
 )
 
-// The three-engine differential over the Lazy-store regime (21 ≤ n ≤ 64,
-// past the exhaustive Table, still within the one-word mask encoding):
-// the Lazy store's maximum, the kernelize-then-search pipeline, and the
-// kernel-disabled raw search must agree on every instance — and the
-// pipeline's answer (Size, Set and Nodes) must be bit-identical at
-// REPRO_WORKERS = 1, 2 and 8. A MILP cross-check on small induced
-// subgraphs ties the agreement to an engine that shares no code with any
-// of them (subgraphs stay at 5–6 vertices; see the e2e test for why the
-// MILP cannot go larger on sparse inputs).
-func TestLazyStoreBBMILPDifferential(t *testing.T) {
+// The exact-engine differential on 21–64 vertices: the kernel-disabled
+// raw search is the reference, the kernelize-then-search pipeline must
+// agree with it on every instance — and the pipeline's answer (Size, Set
+// and Nodes) must be bit-identical at REPRO_WORKERS = 1, 2 and 8. A MILP
+// cross-check on small induced subgraphs ties the agreement to an engine
+// that shares no code with either (subgraphs stay at 5–6 vertices; see
+// the e2e test for why the MILP cannot go larger on sparse inputs).
+func TestBBMILPDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(97))
 	for trial := 0; trial < 8; trial++ {
 		n := 21 + rng.Intn(44)
 		g := graph.Gnm(n, n*(2+rng.Intn(3)), rng.Int63())
 		k := 1 + rng.Intn(3)
 
-		store, err := fastoracle.NewStore(g, k)
+		raw, err := kplex.BBOpt(context.Background(), g, k, kplex.BBOptions{DisableKernel: true})
 		if err != nil {
-			t.Fatalf("trial %d: store: %v", trial, err)
+			t.Fatalf("trial %d: raw BB: %v", trial, err)
 		}
-		if _, isLazy := store.(*fastoracle.Lazy); !isLazy {
-			t.Fatalf("trial %d: n=%d should be served by the Lazy store", trial, n)
-		}
-		want := store.MaxPlexSize()
+		want := raw.Size
 
 		var base kplex.Result
 		for i, w := range []int{1, 2, 8} {
@@ -47,7 +41,7 @@ func TestLazyStoreBBMILPDifferential(t *testing.T) {
 				t.Fatalf("trial %d: BB: %v", trial, err)
 			}
 			if res.Size != want {
-				t.Fatalf("trial %d (n=%d k=%d workers=%d): BB says %d, Lazy store says %d",
+				t.Fatalf("trial %d (n=%d k=%d workers=%d): BB says %d, kernel-disabled BB says %d",
 					trial, n, k, w, res.Size, want)
 			}
 			if !g.IsKPlex(res.Set, k) || len(res.Set) != res.Size {
@@ -65,14 +59,6 @@ func TestLazyStoreBBMILPDifferential(t *testing.T) {
 					t.Fatalf("trial %d: workers=%d set %v vs %v", trial, w, res.Set, base.Set)
 				}
 			}
-		}
-
-		raw, err := kplex.BBOpt(context.Background(), g, k, kplex.BBOptions{DisableKernel: true})
-		if err != nil {
-			t.Fatalf("trial %d: raw BB: %v", trial, err)
-		}
-		if raw.Size != want {
-			t.Fatalf("trial %d: kernel-disabled BB says %d, Lazy store says %d", trial, raw.Size, want)
 		}
 
 		// MILP leg on an induced subgraph small enough for it to close.

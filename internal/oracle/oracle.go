@@ -419,11 +419,6 @@ func (o *Oracle) TruthTable() []bool {
 	return tt
 }
 
-// Fast exposes the semantic evaluator when Options.FastPath enabled it
-// (nil otherwise) — qMKP's binary search reuses it to build the
-// cross-threshold cplex table once and share it across probes.
-func (o *Oracle) Fast() *fastoracle.Evaluator { return o.fast }
-
 // TotalGates returns the gate count of one full oracle call
 // (U_check + flip + U_check†), the unit of the paper's time complexity.
 func (o *Oracle) TotalGates() int { return o.circuit.Len() }

@@ -267,7 +267,7 @@ func TestFastPathMatchesCircuitExhaustive(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if fast.Fast() == nil {
+		if fast.fast == nil {
 			t.Fatal("FastPath build did not install the semantic evaluator")
 		}
 		ctt, ftt := circuit.TruthTable(), fast.TruthTable()

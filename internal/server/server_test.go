@@ -396,6 +396,13 @@ func TestErrorTaxonomyOverHTTP(t *testing.T) {
 	if status != http.StatusRequestEntityTooLarge || res.ErrorKind != api.KindTooLarge {
 		t.Errorf("oversized: status %d kind %q, want 413 %q", status, res.ErrorKind, api.KindTooLarge)
 	}
+	// An annealing penalty of at most 1 is the caller's error → 400.
+	for _, r := range []float64{0.5, 1, -3} {
+		res, status = postSolve(t, ts, &api.SolveRequest{V: api.Version, Algo: api.AlgoQAMKP, K: 2, Graph: small, Anneal: &api.AnnealParams{R: r}})
+		if status != http.StatusBadRequest || res.ErrorKind != api.KindBadSpec {
+			t.Errorf("anneal r=%v: status %d kind %q, want 400 %q", r, status, res.ErrorKind, api.KindBadSpec)
+		}
+	}
 	// Verified infeasibility travels in-band with 200: an edgeless
 	// instance has no 1-plex (clique) of size 2.
 	res, status = postSolve(t, ts, &api.SolveRequest{V: api.Version, Algo: api.AlgoQTKP, K: 1, T: 2, Graph: api.Graph{N: 4}})
