@@ -129,13 +129,15 @@ serve-smoke:
 # Observability smoke: one seeded qMKP solve and one seeded qTKP solve,
 # each traced twice at different worker counts. The span/event stream and
 # the metrics snapshot must be bit-identical (the determinism contract of
-# internal/obs, DESIGN.md §9). The qMKP worker-1 outputs stay behind as
-# OBS_TRACE.jsonl / OBS_METRICS.json — the checked-in sample that CI
-# regenerates and archives; the qTKP outputs go to /tmp only.
+# internal/obs, DESIGN.md §9). The qMKP instance is one whose bounded
+# search runs a failed and a found probe, so the sample shows both
+# outcomes. The qMKP worker-1 outputs stay behind as OBS_TRACE.jsonl /
+# OBS_METRICS.json — the checked-in sample that CI regenerates and
+# archives; the qTKP outputs go to /tmp only.
 obs-smoke:
-	REPRO_WORKERS=1 $(GO) run ./cmd/qmkp -algo qmkp -k 2 -gen 10,23 -seed 5 \
+	REPRO_WORKERS=1 $(GO) run ./cmd/qmkp -algo qmkp -k 2 -gen 10,23 -seed 2 \
 		-trace-out OBS_TRACE.jsonl -metrics-out OBS_METRICS.json
-	REPRO_WORKERS=8 $(GO) run ./cmd/qmkp -algo qmkp -k 2 -gen 10,23 -seed 5 \
+	REPRO_WORKERS=8 $(GO) run ./cmd/qmkp -algo qmkp -k 2 -gen 10,23 -seed 2 \
 		-trace-out /tmp/obs-trace.w8.jsonl -metrics-out /tmp/obs-metrics.w8.json
 	cmp OBS_TRACE.jsonl /tmp/obs-trace.w8.jsonl
 	cmp OBS_METRICS.json /tmp/obs-metrics.w8.json
@@ -174,5 +176,6 @@ fuzz-smoke:
 	$(GO) test ./internal/graph/ -fuzz FuzzGraphRead -fuzztime 5s
 	$(GO) test ./internal/oracle/ -run FuzzFastOracle -fuzz FuzzFastOracle -fuzztime 5s
 	$(GO) test ./internal/grover/ -run FuzzGroverPlane -fuzz FuzzGroverPlane -fuzztime 5s
+	$(GO) test ./internal/api/ -run FuzzDecodeSolveRequest -fuzz FuzzDecodeSolveRequest -fuzztime 5s
 
-ci: build fmt-check vet lint lint-concurrency test race race-bb race-server bench-smoke bench-e2e-smoke obs-smoke paper-gate-check serve-smoke
+ci: build fmt-check vet lint lint-concurrency test race race-bb race-server bench-smoke bench-e2e-smoke obs-smoke paper-gate-check serve-smoke fuzz-smoke

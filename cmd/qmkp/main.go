@@ -8,29 +8,33 @@
 //	qmkp -algo qamkp -k 3 -gen 20,100 -shots 500 -deltat 5
 //	qmkp -algo bs    -k 2 -dataset 'G_{10,23}'
 //	qmkp -algo qmkp  -k 2 -dataset 'G_{10,23}' -trace-out trace.jsonl -metrics-out metrics.json
+//	qmkp -algo bb    -k 2 -gen 40,120 -json-out -
 //	qmkp -json-in request.json -json-out -
 //
 // Input is either -graph (a DIMACS-style p/e file — .clq/.col headers
 // included — or a SNAP-style .snap/.edges list; see internal/graph),
 // -gen n,m (a seeded random graph) or -dataset (a named paper dataset).
 //
-// -json-in switches to the versioned wire schema shared with the
-// solver daemon (internal/api): the file (or stdin, "-") holds one
-// api.SolveRequest, the solve runs through the same dispatcher the
-// daemon uses, and the api.SolveResult is written to -json-out (stdout
-// by default). A CLI answer and a daemon answer for the same request
-// document are therefore the same JSON.
+// The command is a client of the solver daemon's dispatcher: it builds
+// one api.SolveRequest, from its flags or from the -json-in document
+// ("-" = stdin), and runs qmkp, qtkp, qamkp, bb and greedy through
+// server.Execute exactly as the daemon does (qmkp with classical
+// bounds, the wire's defaults). The CLI-only baselines bs, naive, tabu
+// and qnclub fill the same api.SolveResult. -json-out writes it as the
+// daemon's JSON ("-" = stdout, the default under -json-in); otherwise
+// it is printed as text, with a "solution: size N, set [...]" line.
 //
-// Runs are cancellable: -timeout bounds the solve, and an interrupt
-// (Ctrl-C) stops it at the next probe/try/shot boundary; either way the
-// best solution found so far is printed before exiting. Exit codes
-// distinguish failure classes (the table lives in internal/api, shared
-// with the daemon's HTTP status mapping):
+// Runs are cancellable: -timeout (and a request's timeout_ms) bounds the
+// solve, and an interrupt (Ctrl-C) stops it at the next
+// probe/try/shot/wave boundary; either way the best solution found so
+// far is reported before exiting. Exit codes distinguish failure
+// classes (the table lives in internal/api, shared with the daemon's
+// HTTP status mapping):
 //
 //	0  solved
 //	1  input/runtime error
 //	2  bad request (core.ErrBadSpec: empty graph, k, T or -gen out of range, R ≤ 1, unknown sampler)
-//	3  instance too large for the gate simulator (core.ErrTooLarge)
+//	3  instance too large (core.ErrTooLarge: the gate simulator's cap, or naive's)
 //	4  verified infeasible (core.ErrInfeasible, qtkp only)
 //	5  canceled or timed out (core.ErrCanceled)
 //
@@ -58,6 +62,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/kplex"
+	"repro/internal/obs"
 	"repro/internal/obsio"
 	"repro/internal/parallel"
 	"repro/internal/reduce"
@@ -72,31 +77,28 @@ func main() {
 }
 
 // run is the whole command: it parses args and writes every answer line
-// to w.
+// (or the -json-out "-" document) to w.
 func run(args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("qmkp", flag.ExitOnError)
 	var (
-		algo     = fs.String("algo", "qmkp", "algorithm: qmkp | qtkp | qamkp | bb | bs | naive | greedy | tabu | qnclub")
-		k        = fs.Int("k", 2, "k-plex parameter")
-		clubL    = fs.Int("club", 2, "qnclub: diameter bound n of the n-club")
-		tSize    = fs.Int("T", 0, "size threshold (qtkp only)")
-		file     = fs.String("graph", "", "edge-list file (p/e format, 1-based vertices)")
-		gen      = fs.String("gen", "", "generate a random graph: n,m")
-		dataset  = fs.String("dataset", "", "named paper dataset, e.g. 'G_{10,23}'")
-		seed     = fs.Int64("seed", 1, "random seed")
-		shots    = fs.Int("shots", 200, "qaMKP: number of anneals")
-		deltaT   = fs.Int("deltat", 5, "qaMKP: sweeps per anneal (µs analogue)")
-		rPen     = fs.Float64("R", 2, "qaMKP: penalty weight (must be > 1)")
-		embed    = fs.Bool("embed", false, "qaMKP: run through the hardware-embedding pipeline")
-		coPrune  = fs.Bool("reduce", false, "apply core-truss co-pruning before solving (k-plex algorithms; answers stay in input ids)")
-		nokernel = fs.Bool("nokernel", false, "bb: skip kernelization (degree peeling + component split) and search the raw graph")
-		workers  = fs.Int("workers", 0, "worker count for parallel phases (0 = keep REPRO_WORKERS / NumCPU default); results are identical at any value")
-		circuit  = fs.Bool("circuit", false, "qmkp/qtkp: force oracle evaluation through circuit replay (disables the semantic fast path; same results, slower)")
+		algo    = fs.String("algo", "qmkp", "algorithm: qmkp | qtkp | qamkp | bb | greedy (the daemon's) | bs | naive | tabu | qnclub (CLI only)")
+		k       = fs.Int("k", 2, "k-plex parameter")
+		clubL   = fs.Int("club", 2, "qnclub: diameter bound n of the n-club")
+		tSize   = fs.Int("T", 0, "size threshold (qtkp only)")
+		file    = fs.String("graph", "", "edge-list file (p/e format, 1-based vertices)")
+		gen     = fs.String("gen", "", "generate a random graph: n,m")
+		dataset = fs.String("dataset", "", "named paper dataset, e.g. 'G_{10,23}'")
+		seed    = fs.Int64("seed", api.DefaultSeed, "random seed of -gen and of the randomized algorithms (0 runs them under the default)")
+		shots   = fs.Int("shots", api.DefaultShots, "qaMKP: number of anneals")
+		deltaT  = fs.Int("deltat", api.DefaultDeltaT, "qaMKP: sweeps per anneal (µs analogue)")
+		rPen    = fs.Float64("R", api.DefaultR, "qaMKP: penalty weight (must be > 1)")
+		coPrune = fs.Bool("reduce", false, "apply core-truss co-pruning before solving (k-plex algorithms; answers stay in input ids)")
+		workers = fs.Int("workers", 0, "worker count for parallel phases (0 = keep REPRO_WORKERS / NumCPU default); results are identical at any value")
 
-		jsonIn  = fs.String("json-in", "", "read one api.SolveRequest (wire schema v1) from this file ('-' = stdin) and solve it through the daemon's dispatcher; replaces the flag-based input")
-		jsonOut = fs.String("json-out", "", "with -json-in: write the api.SolveResult JSON here ('-' = stdout, the default)")
+		jsonIn  = fs.String("json-in", "", "read one api.SolveRequest (wire schema v1) from this file ('-' = stdin) instead of the flag-based input")
+		jsonOut = fs.String("json-out", "", "write the api.SolveResult JSON here ('-' = stdout; the default under -json-in) instead of text")
 
-		timeout    = fs.Duration("timeout", 0, "cancel the solve after this duration (0 = none); the best solution so far is still printed")
+		timeout    = fs.Duration("timeout", 0, "cancel the solve after this duration (0 = none); the best solution so far is still reported")
 		traceOut   = fs.String("trace-out", "", "write the deterministic span/event trace as JSONL to this file ('-' = stdout)")
 		metricsOut = fs.String("metrics-out", "", "write the counter/gauge snapshot as JSON to this file ('-' = stdout)")
 		cpuprofile = fs.String("cpuprofile", "", "write a CPU profile to this file")
@@ -128,206 +130,217 @@ func run(args []string, w io.Writer) error {
 		}
 	}()
 
-	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt)
-	defer stopSignals()
-	if *timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, *timeout)
-		defer cancel()
-	}
-
-	if *jsonOut != "" && *jsonIn == "" {
-		return fmt.Errorf("-json-out requires -json-in: %w", core.ErrBadSpec)
-	}
+	var req *api.SolveRequest
+	var g *graph.Graph
 	if *jsonIn != "" {
-		return runJSON(ctx, w, *jsonIn, *jsonOut, sink)
+		req, g, err = readRequest(*jsonIn)
+	} else {
+		req = &api.SolveRequest{V: api.Version, Algo: *algo, K: *k, T: *tSize, Seed: *seed,
+			Anneal: &api.AnnealParams{R: *rPen, Shots: *shots, DeltaT: *deltaT}}
+		if err = req.Check(func(a string) bool { return api.KnownAlgo(a) || cliOnly[a] }); err == nil {
+			g, err = loadGraph(*file, *gen, *dataset, *seed)
+		}
 	}
-
-	g, err := loadGraph(*file, *gen, *dataset, *seed)
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(w, "input: %v, k=%d\n", g, *k)
-	if *algo != "qnclub" && *k < 1 {
-		return fmt.Errorf("k=%d must be ≥ 1: %w", *k, core.ErrBadSpec)
+	if *coPrune && req.Algo == "qnclub" {
+		return fmt.Errorf("-reduce preserves k-plexes, not n-clubs: %w", core.ErrBadSpec)
 	}
-	if *algo == "qtkp" && *tSize < 1 {
-		return fmt.Errorf("qtkp needs -T ≥ 1: %w", core.ErrBadSpec)
+	jsonPath, text := *jsonOut, w
+	if jsonPath == "" && *jsonIn != "" {
+		jsonPath = "-"
+	}
+	if jsonPath != "" {
+		text = io.Discard
+	}
+	fmt.Fprintf(text, "input: %v, k=%d\n", g, req.K)
+
+	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt)
+	defer stopSignals()
+	for _, d := range []time.Duration{*timeout, time.Duration(req.TimeoutMS) * time.Millisecond} {
+		if d > 0 {
+			var cancel context.CancelFunc
+			ctx, cancel = context.WithTimeout(ctx, d)
+			defer cancel()
+		}
 	}
 
-	out := printer{w: w}
-	if *coPrune {
-		// Co-prune for the size the algorithm must reach: T for qtkp, one
-		// more than the greedy witness for the maximising algorithms.
-		// Every k-plex of that size survives; n-clubs need not.
-		if *algo == "qnclub" {
-			return fmt.Errorf("-reduce preserves k-plexes, not n-clubs: %w", core.ErrBadSpec)
-		}
-		q := *tSize
-		if *algo != "qtkp" {
-			out.witness = kplex.Greedy(g, *k)
-			q = len(out.witness) + 1
-		}
-		kern := reduce.CoTruss(g, *k, q)
-		fmt.Fprintf(w, "reduction: removed %d vertices, keeping every %d-plex of size ≥ %d\n", kern.Stats.Peeled, *k, q)
-		if kern.Sub.N() < q {
-			if *algo == "qtkp" {
-				fmt.Fprintf(w, "no %d-plex of size ≥ %d exists (verified absence)\n", *k, q)
-				return fmt.Errorf("co-pruning left %d vertices: %w", kern.Sub.N(), core.ErrInfeasible)
-			}
-			out.solution("solution: size %d, set %v (greedy optimal after reduction)\n", out.witness)
-			return nil
-		}
-		g, out.kern = kern.Sub, &kern
+	res, err := solve(ctx, req, g, *coPrune, *clubL, sink.Obs, text)
+	if res == nil {
+		res = &api.SolveResult{V: api.Version, Algo: req.Algo, K: req.K}
 	}
-
-	switch *algo {
-	case "qmkp":
-		res, err := core.SolveMKP(ctx, g, core.Spec{
-			Algo: core.AlgoMKP, K: *k,
-			Gate: &core.GateOptions{Rng: rand.New(rand.NewSource(*seed)), DisableFastPath: *circuit},
-			Obs:  sink.Obs,
-		})
-		if err != nil && !errors.Is(err, core.ErrCanceled) {
-			return err
-		}
-		for _, p := range res.Progress {
-			status := "no plex of that size"
-			if p.Found {
-				status = fmt.Sprintf("found size %d", p.Size)
-			}
-			fmt.Fprintf(w, "  probe T=%-3d %-22s cum. modelled QPU %v\n", p.T, status, p.CumQPUTime)
-		}
-		if err != nil {
-			out.solution("canceled: best size so far %d, set %v\n", res.Set)
-			return err
-		}
-		out.solution("solution: size %d, set %v\n", res.Set)
-		fmt.Fprintf(w, "cost: %d oracle calls, %d gates, modelled QPU %v, wall %v, error prob %.2e\n",
-			res.OracleCalls, res.Gates, res.QPUTime, res.WallTime, res.ErrorProbability)
-	case "qtkp":
-		res, err := core.SolveTKP(ctx, g, core.Spec{
-			Algo: core.AlgoTKP, K: *k, T: *tSize,
-			Gate: &core.GateOptions{Rng: rand.New(rand.NewSource(*seed)), DisableFastPath: *circuit},
-			Obs:  sink.Obs,
-		})
-		switch {
-		case errors.Is(err, core.ErrInfeasible):
-			fmt.Fprintf(w, "no %d-plex of size ≥ %d exists (verified absence)\n", *k, *tSize)
-			return err
-		case errors.Is(err, core.ErrCanceled):
-			fmt.Fprintln(w, "canceled before the probe finished")
-			return err
-		case err != nil:
-			return err
-		}
-		out.solution("solution: size %d, set %v (M=%d, %d iterations, error prob %.2e)\n",
-			res.Set, res.M, res.Iterations, res.ErrorProbability)
-	case "qamkp":
-		res, err := core.SolveAnneal(ctx, g, core.Spec{
-			Algo: core.AlgoAnneal, K: *k,
-			Anneal: &core.AnnealOptions{R: *rPen, Shots: *shots, DeltaT: *deltaT, Seed: *seed, Embed: *embed},
-			Obs:    sink.Obs,
-		})
-		if err != nil && !errors.Is(err, core.ErrCanceled) {
-			return err
-		}
-		fmt.Fprintf(w, "model: %d binary variables (%d slack)\n", res.Variables, res.SlackVars)
-		if res.EmbedStats != nil {
-			fmt.Fprintf(w, "embedding: %d physical qubits, avg chain %.2f, max chain %d\n",
-				res.EmbedStats.PhysicalQubits, res.EmbedStats.AvgChain, res.EmbedStats.MaxChain)
-		}
-		// A set the greedy witness replaced is a valid k-plex.
-		valid := res.Valid || len(out.answer(res.Set)) > len(res.Set)
-		if err != nil {
-			out.solution("canceled: best over completed shots: size %d, set %v (valid k-plex: %v), cost %.2f\n",
-				res.Set, valid, res.Cost)
-			return err
-		}
-		out.solution("solution: size %d, set %v (valid k-plex: %v), cost %.2f\n", res.Set, valid, res.Cost)
-	case "bs":
-		res, err := kplex.BS(g, *k)
-		if err != nil {
-			return err
-		}
-		out.solution("solution: size %d, set %v (%d nodes expanded)\n", res.Set, res.Nodes)
-	case "bb":
-		res, err := kplex.BBOpt(ctx, g, *k, kplex.BBOptions{Obs: sink.Obs, DisableKernel: *nokernel})
-		switch {
-		case errors.Is(err, kplex.ErrCanceled):
-			out.solution("canceled: best size so far %d, set %v (%d nodes expanded)\n", res.Set, res.Nodes)
-			return fmt.Errorf("%w (bb): %w", core.ErrCanceled, err)
-		case err != nil:
-			return err
-		}
-		out.solution("solution: size %d, set %v (%d nodes expanded)\n", res.Set, res.Nodes)
-	case "naive":
-		res, err := kplex.Naive(g, *k)
-		if err != nil {
-			return err
-		}
-		out.solution("solution: size %d, set %v (%d subsets scanned)\n", res.Set, res.Nodes)
-	case "greedy":
-		out.solution("solution: size %d, set %v (heuristic lower bound)\n", kplex.Greedy(g, *k))
-	case "tabu":
-		out.solution("solution: size %d, set %v (tabu-search lower bound)\n",
-			kplex.TabuSearch(g, *k, kplex.TabuOptions{Seed: *seed}))
-	case "qnclub":
-		res, err := club.QMaxClub(g, *clubL, rand.New(rand.NewSource(*seed)))
-		if err != nil {
-			return err
-		}
-		out.solution("solution: maximum %[3]d-club of size %[1]d, set %[2]v (%[4]d oracle calls)\n",
-			res.Set, *clubL, res.Nodes)
-	default:
-		return fmt.Errorf("unknown algorithm %q: %w", *algo, core.ErrBadSpec)
+	res.SetError(err)
+	if jsonPath == "" {
+		render(w, req.T, res)
+	} else if werr := writeJSON(w, jsonPath, res); werr != nil {
+		return werr
 	}
-	return nil
+	return err
 }
 
-// runJSON is the wire-schema mode: one api.SolveRequest in, one
-// api.SolveResult out, through the exact dispatcher the daemon uses
-// (server.Execute). The request's own timeout_ms composes with -timeout
-// and Ctrl-C — whichever fires first cancels the solve. Errors are
-// reported both in-band (error_kind/error in the result document) and
-// through the process exit code, so scripts can pick either signal.
-func runJSON(ctx context.Context, w io.Writer, in, out string, sink *obsio.Sink) error {
-	var src io.Reader = os.Stdin
-	if in != "-" {
-		f, err := os.Open(in)
+// cliOnly names the baselines this command runs itself (solveLocal)
+// instead of through server.Execute. They stay off the wire: bs and
+// tabu ignore cancellation, so the daemon could not keep its deadline
+// contract for them.
+var cliOnly = map[string]bool{"bs": true, "naive": true, "tabu": true, "qnclub": true}
+
+// solve runs req on g, first co-pruned when coPrune is set (the kernel
+// report goes to text). Under co-pruning the answer is lifted back to
+// g's ids, and the greedy witness the kernel was pruned against stands
+// when it is larger: the kernel keeps only plexes that beat it.
+func solve(ctx context.Context, req *api.SolveRequest, g *graph.Graph, coPrune bool, clubL int, ob obs.Obs, text io.Writer) (*api.SolveResult, error) {
+	var witness []int
+	lift := func(set []int) []int { return set }
+	if coPrune {
+		q := req.T
+		if req.Algo != api.AlgoQTKP {
+			witness = kplex.Greedy(g, req.K)
+			q = len(witness) + 1
+		}
+		kern := reduce.CoTruss(g, req.K, q)
+		fmt.Fprintf(text, "reduction: removed %d vertices, keeping every %d-plex of size ≥ %d\n", kern.Stats.Peeled, req.K, q)
+		if kern.Sub.N() < q {
+			// Nothing the kernel holds can be the answer: qtkp's target
+			// is verifiably absent, and the witness is optimal.
+			res := &api.SolveResult{V: api.Version, Algo: req.Algo, K: req.K}
+			if req.Algo == api.AlgoQTKP {
+				return res, fmt.Errorf("co-pruning left %d vertices: %w", kern.Sub.N(), core.ErrInfeasible)
+			}
+			keepWitness(res, witness)
+			return res, nil
+		}
+		g = kern.Sub
+		lift = func(set []int) []int { return api.OneBased(kern.LiftSet(api.ZeroBased(set))) }
+	}
+	var res *api.SolveResult
+	var err error
+	if cliOnly[req.Algo] {
+		res, err = solveLocal(req, g, clubL)
+	} else {
+		res, err = server.Execute(ctx, req, g, ob)
+	}
+	if res != nil && (err == nil || errors.Is(err, core.ErrCanceled)) {
+		res.RemapSets(lift)
+		keepWitness(res, witness)
+	}
+	return res, err
+}
+
+// keepWitness puts witness in place of res's answer when it is larger.
+func keepWitness(res *api.SolveResult, witness []int) {
+	if res.Size < len(witness) {
+		res.Size, res.Set, res.Found = len(witness), api.OneBased(witness), true
+		if res.Valid != nil {
+			valid := true
+			res.Valid = &valid
+		}
+	}
+}
+
+// solveLocal runs one CLI-only baseline and fills the wire result the
+// daemon's algorithms fill. The exhaustive ones refuse instances past
+// their 2^n sweeps with core.ErrTooLarge before allocating anything.
+func solveLocal(req *api.SolveRequest, g *graph.Graph, clubL int) (*api.SolveResult, error) {
+	if maxN := map[string]int{"naive": kplex.NaiveMaxVertices, "qnclub": core.MaxGateVertices}[req.Algo]; maxN > 0 && g.N() > maxN {
+		return nil, fmt.Errorf("%s needs n ≤ %d, got n=%d: %w", req.Algo, maxN, g.N(), core.ErrTooLarge)
+	}
+	out := &api.SolveResult{V: api.Version, Algo: req.Algo, K: req.K}
+	var set []int
+	switch req.Algo {
+	case "bs", "naive":
+		run := kplex.BS
+		if req.Algo == "naive" {
+			run = kplex.Naive
+		}
+		res, err := run(g, req.K)
 		if err != nil {
-			return err
+			return nil, err
+		}
+		set, out.Nodes = res.Set, res.Nodes
+	case "tabu":
+		set = kplex.TabuSearch(g, req.K, kplex.TabuOptions{Seed: req.EffectiveSeed()})
+	case "qnclub":
+		res, err := club.QMaxClub(g, clubL, rand.New(rand.NewSource(req.EffectiveSeed())))
+		if err != nil {
+			return nil, err
+		}
+		set, out.OracleCalls = res.Set, int(res.Nodes)
+	}
+	out.Size, out.Set, out.Found = len(set), api.OneBased(set), len(set) > 0
+	return out, nil
+}
+
+// render prints a result as text: one line per qMKP probe, then the
+// answer line with whichever work counts the algorithm reports. t is
+// the qtkp threshold, which the result does not carry. Errors other
+// than cancellation and verified absence print nothing here; main
+// reports them.
+func render(w io.Writer, t int, res *api.SolveResult) {
+	for _, p := range res.Progress {
+		status := "no plex of that size"
+		if p.Found {
+			status = fmt.Sprintf("found size %d", p.Size)
+		}
+		fmt.Fprintf(w, "  probe T=%-3d %-22s cum. gates %d\n", p.T, status, p.CumGates)
+	}
+	switch res.ErrorKind {
+	case "":
+		fmt.Fprintf(w, "solution: size %d, set %v", res.Size, res.Set)
+	case api.KindCanceled:
+		fmt.Fprintf(w, "canceled: best so far size %d, set %v", res.Size, res.Set)
+	case api.KindInfeasible:
+		fmt.Fprintf(w, "no %d-plex of size ≥ %d exists (verified absence)", res.K, t)
+	default:
+		return
+	}
+	if res.Valid != nil {
+		fmt.Fprintf(w, ", valid k-plex: %v", *res.Valid)
+	}
+	if res.Nodes > 0 {
+		fmt.Fprintf(w, ", %d nodes expanded", res.Nodes)
+	}
+	if res.OracleCalls > 0 {
+		fmt.Fprintf(w, ", %d oracle calls", res.OracleCalls)
+	}
+	if res.Gates > 0 {
+		fmt.Fprintf(w, ", %d gates, modelled QPU %v, error prob %.2e", res.Gates, time.Duration(res.QPUTimeNS), res.ErrorProbability)
+	}
+	fmt.Fprintln(w)
+}
+
+// writeJSON writes res as the daemon's JSON document to path ("-" = w).
+func writeJSON(w io.Writer, path string, res *api.SolveResult) error {
+	data, err := json.MarshalIndent(res, "", "  ")
+	if err != nil {
+		return err
+	}
+	data = append(data, '\n')
+	if path == "-" {
+		_, err = w.Write(data)
+		return err
+	}
+	return os.WriteFile(path, data, 0o644)
+}
+
+// readRequest decodes the -json-in document ("-" = stdin) and builds
+// its graph.
+func readRequest(path string) (*api.SolveRequest, *graph.Graph, error) {
+	var src io.Reader = os.Stdin
+	if path != "-" {
+		f, err := os.Open(path)
+		if err != nil {
+			return nil, nil, err
 		}
 		defer f.Close()
 		src = f
 	}
 	req, err := api.DecodeSolveRequest(src)
 	if err != nil {
-		return err
+		return nil, nil, err
 	}
-	if req.TimeoutMS > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, time.Duration(req.TimeoutMS)*time.Millisecond)
-		defer cancel()
-	}
-	res, solveErr := server.Execute(ctx, req, sink.Obs)
-	if res == nil {
-		res = &api.SolveResult{V: api.Version, Algo: req.Algo, K: req.K}
-	}
-	res.SetError(solveErr)
-	data, err := json.MarshalIndent(res, "", "  ")
-	if err != nil {
-		return err
-	}
-	data = append(data, '\n')
-	if out == "" || out == "-" {
-		if _, err := w.Write(data); err != nil {
-			return err
-		}
-	} else if err := os.WriteFile(out, data, 0o644); err != nil {
-		return err
-	}
-	return solveErr
+	g, err := req.Graph.Build()
+	return req, g, err
 }
 
 func loadGraph(file, gen, dataset string, seed int64) (*graph.Graph, error) {
@@ -361,43 +374,4 @@ func loadGraph(file, gen, dataset string, seed int64) (*graph.Graph, error) {
 		}
 		return d.Build(), nil
 	}
-}
-
-// printer writes the answer lines. Under -reduce the solver ran on the
-// co-pruned kernel, and a maximising algorithm holds the greedy witness
-// the kernel was pruned against.
-type printer struct {
-	w       io.Writer
-	kern    *reduce.Kernel // nil without -reduce
-	witness []int          // greedy witness in original ids, nil for qtkp
-}
-
-// answer maps a solver's set to the one to print: lifted to original
-// ids, and replaced by the greedy witness when that is larger (the kernel
-// keeps only plexes that beat it).
-func (p printer) answer(set []int) []int {
-	if p.kern != nil {
-		set = p.kern.LiftSet(set)
-	}
-	if len(set) < len(p.witness) {
-		return p.witness
-	}
-	return set
-}
-
-// solution prints one answer line. format's first two verbs take the
-// size and the 1-based members of answer(set), so the two always agree;
-// extra fills the rest.
-func (p printer) solution(format string, set []int, extra ...any) {
-	set = p.answer(set)
-	fmt.Fprintf(p.w, format, append([]any{len(set), oneBased(set)}, extra...)...)
-}
-
-// oneBased renders a vertex set with the paper's 1-based labels.
-func oneBased(set []int) []int {
-	out := make([]int, len(set))
-	for i, v := range set {
-		out[i] = v + 1
-	}
-	return out
 }

@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"strings"
@@ -10,6 +12,8 @@ import (
 	"repro/internal/api"
 	"repro/internal/core"
 	"repro/internal/graph"
+	"repro/internal/obs"
+	"repro/internal/server"
 )
 
 // solutionLine parses run's "solution: size N, set [a b …] …" line into N
@@ -107,6 +111,63 @@ func TestBadInputErrors(t *testing.T) {
 		err := run(strings.Fields(args+" -seed 1"), &out)
 		if !errors.Is(err, core.ErrBadSpec) || api.ExitCode(err) != 2 {
 			t.Errorf("%s: err = %v (exit %d), want %v (exit 2)\n%s", args, err, api.ExitCode(err), core.ErrBadSpec, out.String())
+		}
+		if strings.Contains(out.String(), "solution:") {
+			t.Errorf("%s: printed an answer:\n%s", args, out.String())
+		}
+	}
+}
+
+// With flags and -json-out -, every wire algorithm prints exactly the
+// document server.Execute gives the equivalent wire request (flag
+// defaults are the wire defaults), errors included: one configuration
+// per algorithm name, whichever front end asks.
+func TestJSONOutMatchesExecute(t *testing.T) {
+	g := graph.Gnm(10, 23, 5)
+	for _, tc := range []struct {
+		args string
+		req  api.SolveRequest
+		want error
+	}{
+		{"-algo qmkp", api.SolveRequest{Algo: api.AlgoQMKP}, nil},
+		{"-algo qtkp -T 4", api.SolveRequest{Algo: api.AlgoQTKP, T: 4}, nil},
+		{"-algo qtkp -T 7", api.SolveRequest{Algo: api.AlgoQTKP, T: 7}, core.ErrInfeasible},
+		{"-algo qamkp", api.SolveRequest{Algo: api.AlgoQAMKP}, nil},
+		{"-algo bb", api.SolveRequest{Algo: api.AlgoBB}, nil},
+		{"-algo greedy", api.SolveRequest{Algo: api.AlgoGreedy}, nil},
+	} {
+		var out bytes.Buffer
+		err := run(strings.Fields(tc.args+" -k 2 -gen 10,23 -seed 5 -json-out -"), &out)
+		if !errors.Is(err, tc.want) {
+			t.Errorf("%s: err = %v, want %v", tc.args, err, tc.want)
+		}
+		req := tc.req
+		req.V, req.K, req.Seed = api.Version, 2, 5
+		res, xerr := server.Execute(context.Background(), &req, g, obs.Obs{})
+		res.SetError(xerr)
+		want, merr := json.MarshalIndent(res, "", "  ")
+		if merr != nil {
+			t.Fatal(merr)
+		}
+		if got := out.String(); got != string(want)+"\n" {
+			t.Errorf("%s: printed\n%s\nwant Execute's\n%s", tc.args, got, want)
+		}
+	}
+}
+
+// Instances past an exhaustive algorithm's sweep are refused as too
+// large (exit 3) before any table is built: qnclub at the gate-model
+// cap, naive past its 25 vertices.
+func TestSizeRefusals(t *testing.T) {
+	for _, args := range []string{
+		"-algo qnclub -club 2 -gen 25,60",
+		"-algo qnclub -club 2 -gen 64,300",
+		"-algo naive -k 2 -gen 26,40",
+	} {
+		var out bytes.Buffer
+		err := run(strings.Fields(args+" -seed 1"), &out)
+		if !errors.Is(err, core.ErrTooLarge) || api.ExitCode(err) != 3 {
+			t.Errorf("%s: err = %v (exit %d), want %v (exit 3)\n%s", args, err, api.ExitCode(err), core.ErrTooLarge, out.String())
 		}
 		if strings.Contains(out.String(), "solution:") {
 			t.Errorf("%s: printed an answer:\n%s", args, out.String())

@@ -1,10 +1,12 @@
 // Package api defines the versioned wire schema shared by the solver
-// daemon (cmd/qmkpd, internal/server) and the CLI (cmd/qmkp -json-in /
-// -json-out): SolveRequest in, SolveResult out, and the Event frames the
-// streaming endpoint emits — all carrying an explicit `"v":1` version
-// field and decoded strictly (unknown fields are errors, so schema drift
-// between clients and servers fails loudly instead of silently dropping
-// options).
+// daemon (cmd/qmkpd, internal/server) and the CLI (cmd/qmkp, which
+// builds one SolveRequest from its flags or -json-in and can print the
+// SolveResult with -json-out): SolveRequest in, SolveResult out, and the
+// Event frames the streaming endpoint emits — all carrying an explicit
+// `"v":1` version field and decoded strictly (unknown fields are errors,
+// so schema drift between clients and servers fails loudly instead of
+// silently dropping options). Check, the request defaults and RemapSets
+// are shared by both front ends, so neither restates them.
 //
 // It also owns the error taxonomy of the service boundary: the mapping
 // from the typed core sentinels to CLI exit codes (formerly hard-coded
@@ -16,6 +18,7 @@
 package api
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -91,11 +94,22 @@ func FromGraph(g *graph.Graph) Graph {
 }
 
 // AnnealParams carries the qaMKP knobs (consulted only for AlgoQAMKP).
+// A zero field selects its Default* value.
 type AnnealParams struct {
-	R      float64 `json:"r,omitempty"`      // penalty weight (> 1); default 2
-	Shots  int     `json:"shots,omitempty"`  // anneals; default 200
-	DeltaT int     `json:"deltat,omitempty"` // sweeps per anneal; default 5
+	R      float64 `json:"r,omitempty"`      // penalty weight (> 1)
+	Shots  int     `json:"shots,omitempty"`  // anneals
+	DeltaT int     `json:"deltat,omitempty"` // sweeps per anneal
 }
+
+// The values a request runs under when it leaves a field at zero. The
+// daemon's normalization and cache key (through EffectiveSeed and
+// EffectiveAnneal) and cmd/qmkp's flag defaults all read these.
+const (
+	DefaultSeed   = 1
+	DefaultR      = 2.0
+	DefaultShots  = 200
+	DefaultDeltaT = 5
+)
 
 // SolveRequest is one solve job. Exactly the fields relevant to Algo
 // are consulted: K everywhere, T for qtkp, Anneal for qamkp, Seed for
@@ -108,7 +122,7 @@ type SolveRequest struct {
 	Graph Graph  `json:"graph"`
 
 	// Seed drives the randomized algorithms (measurement draws, anneal
-	// shots). 0 means the default seed 1, matching cmd/qmkp.
+	// shots). 0 means DefaultSeed.
 	Seed int64 `json:"seed,omitempty"`
 
 	// TimeoutMS bounds the solve server-side; the server clamps it to
@@ -126,6 +140,44 @@ type SolveRequest struct {
 	NoCache bool `json:"no_cache,omitempty"`
 
 	Anneal *AnnealParams `json:"anneal,omitempty"`
+}
+
+// EffectiveSeed returns the seed the request runs under: Seed, or
+// DefaultSeed when it is 0.
+func (r *SolveRequest) EffectiveSeed() int64 { return cmp.Or(r.Seed, DefaultSeed) }
+
+// EffectiveAnneal returns the qaMKP parameters the request runs under:
+// Anneal with every zero (or absent) field replaced by its default.
+func (r *SolveRequest) EffectiveAnneal() AnnealParams {
+	var a AnnealParams
+	if r.Anneal != nil {
+		a = *r.Anneal
+	}
+	return AnnealParams{R: cmp.Or(a.R, DefaultR), Shots: cmp.Or(a.Shots, DefaultShots), DeltaT: cmp.Or(a.DeltaT, DefaultDeltaT)}
+}
+
+// Check validates the fields of a request beyond their JSON types:
+// version, algorithm, k, t for qtkp, and timeout_ms. known reports which
+// algorithm names the caller dispatches (KnownAlgo for the wire).
+// Errors wrap core.ErrBadSpec. DecodeSolveRequest runs it on every
+// document, and cmd/qmkp on the request it builds from its flags.
+func (r *SolveRequest) Check(known func(algo string) bool) error {
+	if r.V != Version {
+		return fmt.Errorf("api: unsupported wire version %d (want %d): %w", r.V, Version, core.ErrBadSpec)
+	}
+	if !known(r.Algo) {
+		return fmt.Errorf("api: unknown algorithm %q: %w", r.Algo, core.ErrBadSpec)
+	}
+	if r.K < 1 {
+		return fmt.Errorf("api: k=%d must be ≥ 1: %w", r.K, core.ErrBadSpec)
+	}
+	if r.Algo == AlgoQTKP && r.T < 1 {
+		return fmt.Errorf("api: qtkp needs t ≥ 1: %w", core.ErrBadSpec)
+	}
+	if r.TimeoutMS < 0 {
+		return fmt.Errorf("api: timeout_ms=%d must be ≥ 0: %w", r.TimeoutMS, core.ErrBadSpec)
+	}
+	return nil
 }
 
 // ProgressPoint is the wire form of one qMKP binary-search probe.
@@ -197,6 +249,20 @@ func (r *SolveResult) Clone() *SolveResult {
 	return &out
 }
 
+// RemapSets applies a vertex-label mapping to every set in the result:
+// the answer, each probe's set and the first feasible one. The daemon's
+// cache moves sets between request and canonical labels with it, and
+// cmd/qmkp -reduce lifts kernel labels to input labels.
+func (r *SolveResult) RemapSets(f func([]int) []int) {
+	r.Set = f(r.Set)
+	for i := range r.Progress {
+		r.Progress[i].Set = f(r.Progress[i].Set)
+	}
+	if r.FirstFeasible != nil {
+		r.FirstFeasible.Set = f(r.FirstFeasible.Set)
+	}
+}
+
 // Event is one frame of the streaming response. Type orders the
 // progressive-answer story: accepted → greedy_seed/kernel → probe /
 // first_feasible / incumbent → final (Result set) — the paper's
@@ -239,34 +305,22 @@ func decodeStrict(r io.Reader, v any) error {
 	return nil
 }
 
-// DecodeSolveRequest reads and validates one SolveRequest. Unknown
-// fields, version mismatches, unknown algorithms and out-of-range
-// parameters all wrap core.ErrBadSpec.
+// DecodeSolveRequest reads one SolveRequest and checks it against the
+// wire algorithms. Unknown fields, version mismatches, unknown
+// algorithms and out-of-range parameters all wrap core.ErrBadSpec.
 func DecodeSolveRequest(r io.Reader) (*SolveRequest, error) {
 	var req SolveRequest
 	if err := decodeStrict(r, &req); err != nil {
 		return nil, err
 	}
-	if req.V != Version {
-		return nil, fmt.Errorf("api: unsupported wire version %d (want %d): %w", req.V, Version, core.ErrBadSpec)
-	}
-	if !KnownAlgo(req.Algo) {
-		return nil, fmt.Errorf("api: unknown algorithm %q: %w", req.Algo, core.ErrBadSpec)
-	}
-	if req.K < 1 {
-		return nil, fmt.Errorf("api: k=%d must be ≥ 1: %w", req.K, core.ErrBadSpec)
-	}
-	if req.Algo == AlgoQTKP && req.T < 1 {
-		return nil, fmt.Errorf("api: qtkp needs t ≥ 1: %w", core.ErrBadSpec)
-	}
-	if req.TimeoutMS < 0 {
-		return nil, fmt.Errorf("api: timeout_ms=%d must be ≥ 0: %w", req.TimeoutMS, core.ErrBadSpec)
+	if err := req.Check(KnownAlgo); err != nil {
+		return nil, err
 	}
 	return &req, nil
 }
 
 // DecodeSolveResult reads one SolveResult with the same strictness; the
-// client half of the round trip (cmd/qmkp-load, tests).
+// client half of the round trip (cmd/qmkp-load, _bench, tests).
 func DecodeSolveResult(r io.Reader) (*SolveResult, error) {
 	var res SolveResult
 	if err := decodeStrict(r, &res); err != nil {

@@ -6,17 +6,21 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/grover"
+	"repro/internal/qsim"
 )
 
 // QTClub is the n-club analogue of qTKP: Grover search for an n-club of
-// size ≥ T. Returns the verified set, or Found=false.
+// size ≥ T. Returns the verified set, or Found=false. Each call builds a
+// 2^n-entry truth table and a Grover register of n qubits, so it
+// refuses n past qsim.MaxStatevectorQubits, the widest register the
+// Grover engine accepts.
 func QTClub(g *graph.Graph, L, T int, rng *rand.Rand) (Result, bool, error) {
 	if rng == nil {
 		rng = rand.New(rand.NewSource(1))
 	}
 	n := g.N()
-	if n > 64 {
-		return Result{}, false, fmt.Errorf("club: search enumerates one-word subset masks, needs n ≤ 64, got n=%d", n)
+	if n > qsim.MaxStatevectorQubits {
+		return Result{}, false, fmt.Errorf("club: search sweeps 2^n subsets, needs n ≤ %d, got n=%d", qsim.MaxStatevectorQubits, n)
 	}
 	// The semantic fast path answers the same predicate as the circuit
 	// (differentially tested); the circuit is still compiled for gate

@@ -8,8 +8,8 @@
 //   - QAMKP (Algorithm 4): the QUBO reformulation solved on the annealing
 //     substrate (see qamkp.go).
 //
-// The context-first entry points — Solve, SolveTKP, SolveMKP, SolveAnneal
-// in solve.go — are the primary API: they honour cancellation, return the
+// The context-first entry points — SolveTKP, SolveMKP, SolveAnneal in
+// solve.go — are the primary API: they honour cancellation, return the
 // typed sentinels of errors.go, and carry the observability subsystem
 // (internal/obs) through every layer. QTKP/QMKP/QAMKP remain as thin
 // background-context wrappers with their original signatures.
@@ -149,7 +149,20 @@ func (s probeSource) probe(ctx context.Context, g *graph.Graph, orc *oracle.Orac
 	if s.tab == nil {
 		return runTKP(ctx, g, orc, o, ob)
 	}
-	return runTKPPred(ctx, g.N(), s.tab.CountedPredicate(orc.T, s.hits), s.tab.CountAtLeast(orc.T), int64(orc.TotalGates()), o, ob)
+	n := g.N()
+	res, err := runTKPPred(ctx, n, s.tab.Predicate(orc.T), s.tab.CountAtLeast(orc.T), int64(orc.TotalGates()), o, ob)
+	if err == nil || isCtxErr(err) {
+		// Count the lookups once per probe, not with an atomic add per
+		// lookup: 2^n per marked-set sweep (quantum counting adds one)
+		// plus one per verified measurement, the oracle calls that are
+		// not iterations.
+		lookups := int64(1)<<n + int64(res.OracleCalls-res.Iterations)
+		if o.QuantumCounting {
+			lookups += int64(1) << n
+		}
+		s.hits.Add(lookups)
+	}
+	return res, err
 }
 
 // runTKP is one QTKP probe against a compiled oracle: circuit truth-table

@@ -48,35 +48,6 @@ type Spec struct {
 	Obs    obs.Obs
 }
 
-// Result is the union of the per-algorithm outcomes; the field matching
-// Spec.Algo is non-nil. On cancellation the partial result is still
-// populated alongside ErrCanceled.
-type Result struct {
-	Algo Algo
-	TKP  *TKPResult
-	MKP  *MKPResult
-	QA   *QAResult
-}
-
-// Solve dispatches a Spec to the algorithm it requests. Cancellation
-// and deadline on ctx are honoured at probe, Grover-try, and anneal
-// shot-batch boundaries; on cancellation the best result found so far
-// comes back alongside an error wrapping ErrCanceled.
-func Solve(ctx context.Context, g *graph.Graph, spec Spec) (Result, error) {
-	switch spec.Algo {
-	case AlgoTKP:
-		res, err := SolveTKP(ctx, g, spec)
-		return Result{Algo: AlgoTKP, TKP: &res}, err
-	case AlgoMKP:
-		res, err := SolveMKP(ctx, g, spec)
-		return Result{Algo: AlgoMKP, MKP: &res}, err
-	case AlgoAnneal:
-		res, err := SolveAnneal(ctx, g, spec)
-		return Result{Algo: AlgoAnneal, QA: &res}, err
-	}
-	return Result{}, fmt.Errorf("core: unknown algorithm %q: %w", spec.Algo, ErrBadSpec)
-}
-
 // gateSpecCheck validates the shared gate-model invariants and returns
 // the vertex count.
 func gateSpecCheck(g *graph.Graph, k int) (int, error) {

@@ -64,7 +64,6 @@ func TestSolveBadSpecSentinels(t *testing.T) {
 		run  func() error
 		want error
 	}{
-		{"unknown algo", func() error { _, err := Solve(ctx, g, Spec{Algo: "bogus", K: 2}); return err }, ErrBadSpec},
 		{"nil graph", func() error { _, err := SolveMKP(ctx, nil, Spec{Algo: AlgoMKP, K: 2}); return err }, ErrBadSpec},
 		{"k too small", func() error { _, err := SolveMKP(ctx, g, Spec{Algo: AlgoMKP, K: 0}); return err }, ErrBadSpec},
 		{"k too large", func() error { _, err := SolveMKP(ctx, g, Spec{Algo: AlgoMKP, K: 7}); return err }, ErrBadSpec},

@@ -27,7 +27,6 @@ import (
 
 	"repro/internal/bitvec"
 	"repro/internal/graph"
-	"repro/internal/obs"
 	"repro/internal/parallel"
 )
 
@@ -239,21 +238,6 @@ func (t *Table) Marked(mask uint64, T int) bool {
 // fan-outs.
 func (t *Table) Predicate(T int) func(mask uint64) bool {
 	return func(mask uint64) bool { return t.Marked(mask, T) }
-}
-
-// CountedPredicate is Predicate with cache-hit accounting: every lookup
-// served from the packed table bumps hits. The counter is atomic, so
-// the closure stays safe for the engines' parallel fan-outs and the
-// total is identical at any worker count; answers are unchanged. A nil
-// counter returns the plain (uncounted) predicate.
-func (t *Table) CountedPredicate(T int, hits *obs.Counter) func(mask uint64) bool {
-	if hits == nil {
-		return t.Predicate(T)
-	}
-	return func(mask uint64) bool {
-		hits.Add(1)
-		return t.Marked(mask, T)
-	}
 }
 
 // CountAtLeast returns the exact number of marked masks at threshold T —

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/graph"
-	"repro/internal/obs"
 )
 
 // Regression: Table() used to compute `size := 1 << n`, which wraps to 0
@@ -61,28 +60,6 @@ func TestNewStoreCutover(t *testing.T) {
 		if s, err := NewStore(graph.New(n), 1); !errors.Is(err, ErrTooLarge) || s != nil {
 			t.Fatalf("n=%d store: got (%v, %v), want (nil, ErrTooLarge)", n, s, err)
 		}
-	}
-}
-
-// CountedPredicate counts every lookup and leaves the answers unchanged;
-// a nil counter returns the plain predicate.
-func TestTableCountedPredicate(t *testing.T) {
-	tab, err := NewStore(graph.Gnm(12, 30, 4), 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var hits obs.Counter
-	pred := tab.CountedPredicate(3, &hits)
-	for mask := uint64(0); mask < 100; mask++ {
-		if pred(mask) != tab.Marked(mask, 3) {
-			t.Fatalf("counted predicate changed the answer at mask=%d", mask)
-		}
-	}
-	if got := hits.Value(); got != 100 {
-		t.Fatalf("hit counter = %d, want 100", got)
-	}
-	if tab.CountedPredicate(3, nil)(1) != tab.Marked(1, 3) {
-		t.Fatal("nil-counter predicate disagrees")
 	}
 }
 

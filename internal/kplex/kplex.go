@@ -32,16 +32,19 @@ type Result struct {
 	Nodes int64 // search-tree nodes expanded (BS) or masks scanned (naive)
 }
 
+// NaiveMaxVertices is the largest instance Naive scans.
+const NaiveMaxVertices = 25
+
 // Naive finds a maximum k-plex by scanning all 2^n subsets. Ground truth
-// for tests and tiny instances; refuses n > 25. The per-mask check runs
+// for tests and tiny instances; refuses n > NaiveMaxVertices. The per-mask check runs
 // through the semantic fast-path evaluator — O(|mask|) popcounts over
 // packed complement rows instead of a decoded-set IsKPlex walk — but the
 // scan order and tie-breaking (lowest qualifying mask per size) are
 // exactly those of the original subset sweep.
 func Naive(g *graph.Graph, k int) (Result, error) {
 	n := g.N()
-	if n > 25 {
-		return Result{}, fmt.Errorf("kplex: naive enumeration refuses n=%d > 25", n)
+	if n > NaiveMaxVertices {
+		return Result{}, fmt.Errorf("kplex: naive enumeration refuses n=%d > %d", n, NaiveMaxVertices)
 	}
 	if k < 1 {
 		return Result{}, fmt.Errorf("kplex: k=%d must be ≥ 1", k)

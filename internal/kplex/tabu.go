@@ -9,9 +9,9 @@ import (
 
 // Tabu search for large k-plexes, in the family of the approximation
 // baselines the paper surveys (Gujjula & Balasundaram's GRASP+tabu, Zhou
-// et al.'s frequency-driven tabu search). It provides stronger lower
-// bounds than Greedy for the reductions and for qMKP's bounded binary
-// search, at a caller-controlled budget.
+// et al.'s frequency-driven tabu search). It is a heuristic baseline,
+// run only by cmd/qmkp's -algo tabu: the reductions and qMKP's bounded
+// binary search take their lower bound from Greedy.
 
 // TabuOptions tunes the search. The zero value selects usable defaults.
 type TabuOptions struct {

@@ -13,35 +13,30 @@ import (
 	"repro/internal/obs"
 )
 
-// Execute runs one wire request against the solver stack and renders
-// the outcome in wire form. It is the single dispatch point shared by
-// the daemon's /v1/solve handler and cmd/qmkp's -json-in/-json-out
-// mode, so CLI and service speak byte-identical schemas.
+// Execute runs one wire request on its already built graph g and
+// renders the outcome in wire form. It is the one place a wire
+// algorithm is configured and run: the daemon's /v1/solve handler calls
+// it on a cache miss, and cmd/qmkp calls it for every wire algorithm,
+// from flags or -json-in, so one algorithm name means one configuration
+// on both front ends.
 //
 // Cancellation and deadline on ctx are honoured at the solver's
 // probe/try/shot/wave boundaries; on cancellation the best-so-far
 // result comes back alongside an error wrapping core.ErrCanceled —
 // callers classify it with api.HTTPStatus / api.ExitCode and the
 // result's cost accounting is still populated.
-func Execute(ctx context.Context, req *api.SolveRequest, ob obs.Obs) (*api.SolveResult, error) {
-	g, err := req.Graph.Build()
-	if err != nil {
-		return nil, err
-	}
-	return execute(ctx, req, g, ob)
-}
-
-// execute is Execute on the request's already built graph g, so the
-// daemon, which builds g once for the canonical form, does not build it
-// again on a cache miss.
-func execute(ctx context.Context, req *api.SolveRequest, g *graph.Graph, ob obs.Obs) (*api.SolveResult, error) {
-	seed := effectiveSeed(req)
+//
+// Every witness is checked against g before it leaves (checkWitness):
+// a solver bug surfaces as an internal error, never as a wrong answer.
+func Execute(ctx context.Context, req *api.SolveRequest, g *graph.Graph, ob obs.Obs) (*api.SolveResult, error) {
 	out := &api.SolveResult{V: api.Version, Algo: req.Algo, K: req.K}
+	var err error
 	switch req.Algo {
 	case api.AlgoQMKP:
-		res, err := core.SolveMKP(ctx, g, core.Spec{
+		var res core.MKPResult
+		res, err = core.SolveMKP(ctx, g, core.Spec{
 			Algo: core.AlgoMKP, K: req.K,
-			Gate: &core.GateOptions{Rng: rand.New(rand.NewSource(seed)), UseClassicalBounds: true},
+			Gate: &core.GateOptions{Rng: rand.New(rand.NewSource(req.EffectiveSeed())), UseClassicalBounds: true},
 			Obs:  ob,
 		})
 		out.Size = res.Size
@@ -56,11 +51,11 @@ func execute(ctx context.Context, req *api.SolveRequest, g *graph.Graph, ob obs.
 			pp := wirePoint(*res.FirstFeasible)
 			out.FirstFeasible = &pp
 		}
-		return out, err
 	case api.AlgoQTKP:
-		res, err := core.SolveTKP(ctx, g, core.Spec{
+		var res core.TKPResult
+		res, err = core.SolveTKP(ctx, g, core.Spec{
 			Algo: core.AlgoTKP, K: req.K, T: req.T,
-			Gate: &core.GateOptions{Rng: rand.New(rand.NewSource(seed))},
+			Gate: &core.GateOptions{Rng: rand.New(rand.NewSource(req.EffectiveSeed()))},
 			Obs:  ob,
 		})
 		out.Size = len(res.Set)
@@ -70,22 +65,21 @@ func execute(ctx context.Context, req *api.SolveRequest, g *graph.Graph, ob obs.
 		out.Gates = res.Gates
 		out.QPUTimeNS = int64(res.QPUTime)
 		out.ErrorProbability = res.ErrorProbability
-		return out, err
 	case api.AlgoQAMKP:
-		p := annealParams(req)
-		res, err := core.SolveAnneal(ctx, g, core.Spec{
+		p := req.EffectiveAnneal()
+		var res core.QAResult
+		res, err = core.SolveAnneal(ctx, g, core.Spec{
 			Algo: core.AlgoAnneal, K: req.K,
-			Anneal: &core.AnnealOptions{R: p.R, Shots: p.Shots, DeltaT: p.DeltaT, Seed: seed},
+			Anneal: &core.AnnealOptions{R: p.R, Shots: p.Shots, DeltaT: p.DeltaT, Seed: req.EffectiveSeed()},
 			Obs:    ob,
 		})
 		out.Size = res.Size
 		out.Set = api.OneBased(res.Set)
 		out.Found = res.Size > 0
-		valid := res.Valid
-		out.Valid = &valid
-		return out, err
+		out.Valid = &res.Valid
 	case api.AlgoBB:
-		res, err := kplex.BBOpt(ctx, g, req.K, kplex.BBOptions{Obs: ob})
+		var res kplex.Result
+		res, err = kplex.BBOpt(ctx, g, req.K, kplex.BBOptions{Obs: ob})
 		out.Size = res.Size
 		out.Set = api.OneBased(res.Set)
 		out.Found = res.Size > 0
@@ -95,47 +89,45 @@ func execute(ctx context.Context, req *api.SolveRequest, g *graph.Graph, ob obs.
 			// taxonomy so exit-code and status mapping see one chain.
 			err = fmt.Errorf("%w (bb): %w", core.ErrCanceled, err)
 		}
-		return out, err
 	case api.AlgoGreedy:
-		k := req.K
-		if k > g.N() {
-			k = g.N()
-		}
-		set := kplex.Greedy(g, k)
+		set := kplex.Greedy(g, min(req.K, g.N()))
 		out.Size = len(set)
 		out.Set = api.OneBased(set)
 		out.Found = len(set) > 0
-		return out, nil
+	default:
+		return nil, fmt.Errorf("server: unknown algorithm %q: %w", req.Algo, core.ErrBadSpec)
 	}
-	return nil, fmt.Errorf("server: unknown algorithm %q: %w", req.Algo, core.ErrBadSpec)
+	if werr := checkWitness(g, out); werr != nil {
+		return nil, werr
+	}
+	return out, err
 }
 
-// effectiveSeed normalizes the request seed (0 means the default seed
-// 1, matching cmd/qmkp's -seed default). The cache key uses the same
-// normalization so seed-0 and seed-1 requests share an entry.
-func effectiveSeed(req *api.SolveRequest) int64 {
-	if req.Seed == 0 {
-		return 1
+// checkWitness verifies the answer Execute is about to return: Size
+// equals len(Set), the members are distinct vertices of g, and the set
+// is a k-plex unless the result marks itself invalid (a qaMKP
+// assignment that decodes to no k-plex). It costs O(|S|²). A failure is
+// a solver bug, so the error wraps no sentinel: exit 1 or HTTP 500,
+// and the cache never stores it.
+func checkWitness(g *graph.Graph, res *api.SolveResult) error {
+	if res.Size != len(res.Set) {
+		return fmt.Errorf("server: %s answer has size %d but %d members", res.Algo, res.Size, len(res.Set))
 	}
-	return req.Seed
-}
-
-// annealParams applies the qaMKP defaults (R=2, 200 shots, Δt=5 —
-// cmd/qmkp's flag defaults) to an optional wire AnnealParams.
-func annealParams(req *api.SolveRequest) api.AnnealParams {
-	p := api.AnnealParams{R: 2, Shots: 200, DeltaT: 5}
-	if req.Anneal != nil {
-		if req.Anneal.R != 0 {
-			p.R = req.Anneal.R
+	set := api.ZeroBased(res.Set)
+	for i, v := range set {
+		if v < 0 || v >= g.N() {
+			return fmt.Errorf("server: %s answer names vertex %d, outside 1..%d", res.Algo, v+1, g.N())
 		}
-		if req.Anneal.Shots != 0 {
-			p.Shots = req.Anneal.Shots
-		}
-		if req.Anneal.DeltaT != 0 {
-			p.DeltaT = req.Anneal.DeltaT
+		for _, u := range set[:i] {
+			if u == v {
+				return fmt.Errorf("server: %s answer names vertex %d twice", res.Algo, v+1)
+			}
 		}
 	}
-	return p
+	if len(set) > 0 && (res.Valid == nil || *res.Valid) && !g.IsKPlex(set, res.K) {
+		return fmt.Errorf("server: %s answer %v is not a %d-plex", res.Algo, res.Set, res.K)
+	}
+	return nil
 }
 
 // wirePoint converts one core progress point to wire form.

@@ -1,5 +1,6 @@
 // Package server is the solver daemon behind cmd/qmkpd: a bounded,
-// cache-fronted HTTP service over the core.Solve* entry points.
+// cache-fronted HTTP service over Execute, the one dispatcher that
+// configures and runs every wire algorithm (cmd/qmkp calls it too).
 //
 // Request lifecycle: POST /v1/solve decodes a strict api.SolveRequest,
 // passes admission control (a buffered-channel semaphore of MaxInflight
@@ -128,9 +129,9 @@ type Server struct {
 	cache  *resultCache
 	traces *traceRing
 
-	// execFn is the solve dispatcher, handed the graph solve already
-	// built; tests substitute stubs to drive admission and shutdown
-	// without real solver work.
+	// execFn is the solve dispatcher (Execute), handed the graph solve
+	// already built; tests substitute stubs to drive admission and
+	// shutdown without real solver work.
 	execFn func(context.Context, *api.SolveRequest, *graph.Graph, obs.Obs) (*api.SolveResult, error)
 }
 
@@ -144,7 +145,7 @@ func New(cfg Config) *Server {
 		sem:     make(chan struct{}, cfg.MaxInflight),
 		cache:   newResultCache(cfg.CacheEntries),
 		traces:  newTraceRing(cfg.TraceEntries),
-		execFn:  execute,
+		execFn:  Execute,
 	}
 	s.hardCtx, s.hardStop = context.WithCancel(context.Background())
 	s.mux.HandleFunc("POST /v1/solve", s.handleSolve)
@@ -334,7 +335,7 @@ func (s *Server) solve(ctx context.Context, req *api.SolveRequest, ob obs.Obs) (
 		if cached, ok := s.cache.get(key, form.Bytes); ok {
 			s.metrics.Add("server.cache.hits", 1)
 			ob.Trace.Event("server.cache.hit", obs.Str("hash", form.Hash[:16]))
-			remapSets(cached, func(set []int) []int {
+			cached.RemapSets(func(set []int) []int {
 				return api.OneBased(form.Lift(api.ZeroBased(set)))
 			})
 			cached.Cached = true
@@ -345,7 +346,7 @@ func (s *Server) solve(ctx context.Context, req *api.SolveRequest, ob obs.Obs) (
 	res, err := s.execFn(ctx, req, g, ob)
 	if err == nil && res != nil && !req.NoCache {
 		stored := res.Clone()
-		remapSets(stored, func(set []int) []int {
+		stored.RemapSets(func(set []int) []int {
 			return api.OneBased(form.Apply(api.ZeroBased(set)))
 		})
 		s.cache.put(key, form.Bytes, stored)
@@ -361,25 +362,14 @@ func cacheKey(hash string, req *api.SolveRequest) string {
 	key := fmt.Sprintf("%s|%s|k=%d", hash, req.Algo, req.K)
 	switch req.Algo {
 	case api.AlgoQTKP:
-		key += fmt.Sprintf("|t=%d|seed=%d", req.T, effectiveSeed(req))
+		key += fmt.Sprintf("|t=%d|seed=%d", req.T, req.EffectiveSeed())
 	case api.AlgoQMKP:
-		key += fmt.Sprintf("|seed=%d", effectiveSeed(req))
+		key += fmt.Sprintf("|seed=%d", req.EffectiveSeed())
 	case api.AlgoQAMKP:
-		p := annealParams(req)
-		key += fmt.Sprintf("|seed=%d|r=%g|shots=%d|dt=%d", effectiveSeed(req), p.R, p.Shots, p.DeltaT)
+		p := req.EffectiveAnneal()
+		key += fmt.Sprintf("|seed=%d|r=%g|shots=%d|dt=%d", req.EffectiveSeed(), p.R, p.Shots, p.DeltaT)
 	}
 	return key
-}
-
-// remapSets applies a label mapping to every vertex set in a result.
-func remapSets(res *api.SolveResult, f func([]int) []int) {
-	res.Set = f(res.Set)
-	for i := range res.Progress {
-		res.Progress[i].Set = f(res.Progress[i].Set)
-	}
-	if res.FirstFeasible != nil {
-		res.FirstFeasible.Set = f(res.FirstFeasible.Set)
-	}
 }
 
 // handleTrace is GET /v1/trace/{id}: the retained solve trace as the

@@ -454,7 +454,11 @@ func TestExecuteCancellation(t *testing.T) {
 		if algo == api.AlgoQMKP {
 			req.Graph = api.FromGraph(graph.Gnm(14, 38, 5))
 		}
-		res, err := Execute(newCountdownCtx(0), req, obs.Obs{})
+		g, err := req.Graph.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := Execute(newCountdownCtx(0), req, g, obs.Obs{})
 		if !errors.Is(err, core.ErrCanceled) {
 			t.Errorf("%s: err = %v, want ErrCanceled", algo, err)
 		}
