@@ -299,7 +299,10 @@ func decodeStrict(r io.Reader, v any) error {
 	if err := dec.Decode(v); err != nil {
 		return fmt.Errorf("api: decode: %v: %w", err, core.ErrBadSpec)
 	}
-	if dec.More() {
+	// Only whitespace may follow. Decoder.More would not do here: it
+	// reports false before a stray ']' or '}', taking it for the end of an
+	// enclosing value.
+	if _, err := dec.Token(); err != io.EOF {
 		return fmt.Errorf("api: trailing data after JSON document: %w", core.ErrBadSpec)
 	}
 	return nil

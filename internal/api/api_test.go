@@ -108,6 +108,8 @@ func TestStrictDecoding(t *testing.T) {
 		{"qtkp-no-t", `{"v":1,"algo":"qtkp","k":2,"graph":{"n":2,"edges":[[1,2]]}}`},
 		{"negative-timeout", `{"v":1,"algo":"bb","k":2,"graph":{"n":2,"edges":[[1,2]]},"timeout_ms":-1}`},
 		{"trailing-data", `{"v":1,"algo":"bb","k":2,"graph":{"n":2,"edges":[[1,2]]}} {"again":true}`},
+		{"trailing-bracket", `{"v":1,"algo":"greedy","k":2,"graph":{"n":3,"edges":[[1,2]]}}]`},
+		{"trailing-brace", `{"v":1,"algo":"greedy","k":2,"graph":{"n":3,"edges":[[1,2]]}}}`},
 		{"not-json", `p edge 5 4`},
 	}
 	for _, tc := range cases {
@@ -119,6 +121,25 @@ func TestStrictDecoding(t *testing.T) {
 		if !errors.Is(err, core.ErrBadSpec) {
 			t.Errorf("%s: error %v does not wrap ErrBadSpec", tc.name, err)
 		}
+	}
+}
+
+// TestTrailingWhitespaceAccepted: whitespace after the document is not
+// trailing data, so a newline-terminated reply (as the daemon writes
+// them) decodes.
+func TestTrailingWhitespaceAccepted(t *testing.T) {
+	doc := `{"v":1,"algo":"greedy","k":2,"graph":{"n":3,"edges":[[1,2]]}}`
+	for _, tail := range []string{"", "\n", " \t\r\n "} {
+		if _, err := DecodeSolveRequest(strings.NewReader(doc + tail)); err != nil {
+			t.Errorf("request with tail %q: %v", tail, err)
+		}
+	}
+	var reply bytes.Buffer
+	if err := json.NewEncoder(&reply).Encode(&SolveResult{V: Version, Algo: AlgoGreedy, K: 2, Size: 2, Set: []int{1, 2}}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := DecodeSolveResult(&reply); err != nil {
+		t.Errorf("newline-terminated reply: %v", err)
 	}
 }
 

@@ -33,6 +33,8 @@ func FuzzDecodeSolveRequest(f *testing.F) {
 		`{"v":1,"algo":"qtkp","k":2,"graph":{"n":2,"edges":[[1,2]]}}`,
 		`{"v":1,"algo":"bb","k":2,"graph":{"n":2,"edges":[[1,2]]},"timeout_ms":-1}`,
 		`{"v":1,"algo":"bb","k":2,"graph":{"n":2,"edges":[[1,2]]}} {"again":true}`,
+		`{"v":1,"algo":"greedy","k":2,"graph":{"n":3,"edges":[[1,2]]}}]`,
+		`{"v":1,"algo":"greedy","k":2,"graph":{"n":3,"edges":[[1,2]]}}}`,
 		`{"v":1,"algo":"bb"`,
 		`p edge 5 4`,
 	} {

@@ -59,23 +59,26 @@ const bbWaveSize = 64
 // hereditary property (every subset of a k-plex is a k-plex, so each
 // k-plex is reachable by adding vertices one at a time through k-plex
 // intermediates) and prunes with two bounds — the trivial
-// |P| + |feasible| and a per-member complement-budget bound (member u
-// tolerates at most k-1-cdeg(u) more complement neighbours, so any excess
-// complement neighbours of u among the feasible candidates must stay
-// out).
+// |P| + |feasible| and the partition bound of KPLEX (Jiang et al., IJCAI
+// 2021): member u tolerates at most k-1-cdeg(u) more complement
+// neighbours, so each feasible candidate is charged to one member it is
+// not adjacent to, and the excess of every member's group over that
+// budget must stay out (see partitionBound).
 //
 // The search is decomposed for the worker pool without giving up
 // determinism. K-plexes of size ≥ 2 partition by their first two members
 // in branch order, so the root frontier splits into one fixed subtree
 // task per feasible ordered pair (i, j): task (i,j) owns exactly the
 // plexes whose earliest members are order[i] then order[j], branching
-// over the candidates after j. Tasks run in fixed waves of bbWaveSize:
-// within a wave every task prunes against the same frozen incumbent size,
-// and between waves the per-task results merge in task order (first
-// strict improvement wins). Which worker runs a task never affects what
-// the task computes, so Size, Set and Nodes are bit-identical at any
-// REPRO_WORKERS setting — the serial path is simply the same schedule on
-// one worker.
+// over the candidates after j. Before a task touches any scratch state,
+// its root bound is taken with word operations alone (rootBound); a task
+// that cannot beat the wave's incumbent costs no search node. Tasks run
+// in fixed waves of bbWaveSize: within a wave every task prunes against
+// the same frozen incumbent size, and between waves the per-task results
+// merge in task order (first strict improvement wins). Which worker runs
+// a task never affects what the task computes, so Size, Set and Nodes are
+// bit-identical at any REPRO_WORKERS setting — the serial path is simply
+// the same schedule on one worker.
 //
 // Cancellation and deadline are polled once per wave — between waves
 // every worker has joined, so stopping there abandons no goroutine and
@@ -108,6 +111,7 @@ func (e *Evaluator) BranchBound(ctx context.Context, opt BBOptions) (BBResult, e
 	}
 	nodes := int64(1) // the implicit root node
 	tasks := e.rootTasks(order)
+	later := laterSets(order)
 	results := make([]bbTaskResult, bbWaveSize)
 	finish := func() BBResult {
 		out := append([]int(nil), bestSet...)
@@ -131,7 +135,7 @@ func (e *Evaluator) BranchBound(ctx context.Context, opt BBOptions) (BBResult, e
 			func() *bbState { return newBBState(e) },
 			func(s *bbState, tlo, thi int) {
 				for t := tlo; t < thi; t++ {
-					res[t] = s.runTask(order, wave[t], frozen)
+					res[t] = s.runTask(order, later, wave[t], frozen)
 				}
 			})
 		// Chunk-ordered merge: improvements are adopted in task order, so
@@ -177,14 +181,28 @@ func (e *Evaluator) rootTasks(order []int) []bbTask {
 	return tasks
 }
 
+// laterSets returns later[j], the set of vertices at branch positions
+// after j: the candidate pool of every task whose second member sits at
+// position j. n suffix vectors, the size of the complement rows.
+func laterSets(order []int) []*bitvec.Vector {
+	later := make([]*bitvec.Vector, len(order))
+	acc := bitvec.New(len(order))
+	for j := len(order) - 1; j >= 0; j-- {
+		later[j] = acc.Clone()
+		acc.Set(order[j], true)
+	}
+	return later
+}
+
 // runTask searches the subtree rooted at P = {order[t.i], order[t.j]}
 // with candidates order[t.j+1:], pruning against the wave's frozen
 // incumbent size. The scratch state is returned balanced (adds undone),
 // so one bbState serves every task a worker pulls.
-func (b *bbState) runTask(order []int, t bbTask, frozen int) bbTaskResult {
-	// Even taking every later candidate cannot beat the incumbent: skip
-	// without touching the scratch state.
-	if 2+len(order)-1-int(t.j) <= frozen {
+func (b *bbState) runTask(order []int, later []*bitvec.Vector, t bbTask, frozen int) bbTaskResult {
+	// Even taking every later candidate cannot beat the incumbent, or the
+	// root's own bound cannot: skip without touching the scratch state.
+	if 2+len(order)-1-int(t.j) <= frozen ||
+		b.rootBound(order[t.i], order[t.j], later[t.j], frozen) <= frozen {
 		return bbTaskResult{size: frozen}
 	}
 	b.best = frozen
@@ -217,13 +235,13 @@ func validPermutation(order []int, n int) bool {
 	return true
 }
 
-// bbState is the mutable frame of one branch-and-bound (or lazy count)
-// worker: the current partial plex P, for every vertex v the running
-// complement degree cdeg[v] = |compVec(v) ∩ P|, the membership vector,
-// and the saturated-member vector sat — members u with cdeg[u] = k-1,
-// whose complement neighbours are exactly the vertices P can no longer
-// absorb. Per-depth candidate buffers make a search node allocation-free
-// after warm-up.
+// bbState is the mutable frame of one branch-and-bound worker: the
+// current partial plex P, for every vertex v the running complement
+// degree cdeg[v] = |compVec(v) ∩ P|, the membership vector, and the
+// saturated-member vector sat — members u with cdeg[u] = k-1, whose
+// complement neighbours are exactly the vertices P can no longer absorb.
+// Per-depth candidate buffers and the bounds' scratch (root, both, room,
+// open) make a search node allocation-free after warm-up.
 type bbState struct {
 	e       *Evaluator
 	pList   []int
@@ -236,6 +254,10 @@ type bbState struct {
 	depth   int
 	cands   [][]int
 	vecs    []*bitvec.Vector
+	root    *bitvec.Vector
+	both    *bitvec.Vector
+	room    []int
+	open    []int
 }
 
 // newBBState returns a clean search frame for e.
@@ -245,7 +267,96 @@ func newBBState(e *Evaluator) *bbState {
 		cdeg: make([]int, e.n),
 		inP:  bitvec.New(e.n),
 		sat:  bitvec.New(e.n),
+		root: bitvec.New(e.n),
+		both: bitvec.New(e.n),
 	}
+}
+
+// rootBound bounds the subtree rooted at P = {u, v} over pool, the
+// vertices after v in branch order, with word operations only. It builds
+// the root's exact feasible set F — what feasibleCands would return once
+// u and v were added — and returns the partition bound over it. Both
+// members carry cdeg c (1 when u and v are complement-adjacent), so a
+// candidate's complement degree into P exceeds k-1 only when k = 1 (a
+// complement neighbour of u or v) or k = 2 (a complement neighbour of
+// both), and a member is saturated only when c = k-1, which drops its
+// whole complement row. At k ≥ 3 F is the whole pool.
+func (b *bbState) rootBound(u, v int, pool *bitvec.Vector, best int) int {
+	e := b.e
+	k1 := e.k - 1
+	c := 0
+	if e.compVec[u].Get(v) {
+		c = 1
+	}
+	f := b.root
+	f.CopyFrom(pool)
+	switch {
+	case c == k1:
+		// Both members saturated (k = 1, or a non-adjacent pair at k = 2).
+		f.AndNot(e.compVec[u])
+		f.AndNot(e.compVec[v])
+	case k1 == 1:
+		// An adjacent pair at k = 2: a candidate missing both would carry
+		// cdeg 2.
+		both := b.both
+		both.CopyFrom(e.compVec[u])
+		both.And(e.compVec[v])
+		f.AndNot(both)
+	}
+	members, room := [2]int{u, v}, [2]int{k1 - c, k1 - c}
+	return b.partitionBound(members[:], room[:], f, f.OnesCount(), best)
+}
+
+// partitionBound bounds the largest k-plex S ⊇ P with S \ P ⊆ cand, where
+// members lists P, room[i] = k-1-cdeg(members[i]) is how many more
+// complement neighbours members[i] tolerates, and ncand = |cand|.
+// Charge each candidate to at most one member it is not adjacent to: the
+// group charged to member u admits at most room(u) of its vertices, so
+// its excess |group| - room(u) must stay out, and since the groups are
+// disjoint the excesses add up. Candidates adjacent to all of P are
+// charged to nobody. Groups are formed greedily, largest excess first
+// (ties to the earlier member), each over the candidates no earlier group
+// took. The first step subtracts the single largest per-member excess —
+// the whole bound when it already reaches best, so a node that bound
+// prunes costs nothing extra — and every later step only lowers the
+// bound further. The loop stops once the bound reaches best. cand is
+// consumed.
+func (b *bbState) partitionBound(members, room []int, cand *bitvec.Vector, ncand, best int) int {
+	comp := b.e.compVec
+	ub := len(members) + ncand
+	open := b.open[:0]
+	for i := range members {
+		open = append(open, i)
+	}
+	for {
+		// Rescore the open members against the candidates still
+		// uncharged. cand only shrinks, so a member without excess never
+		// regains one and leaves the list.
+		top, topEx := -1, 0
+		kept := open[:0]
+		for _, i := range open {
+			ex := comp[members[i]].AndCount(cand) - room[i]
+			if ex <= 0 {
+				continue
+			}
+			if ex > topEx {
+				top, topEx = len(kept), ex
+			}
+			kept = append(kept, i)
+		}
+		open = kept
+		if top < 0 {
+			break
+		}
+		ub -= topEx
+		if ub <= best || len(open) == 1 {
+			break
+		}
+		cand.AndNot(comp[members[open[top]]])
+		open = append(open[:top], open[top+1:]...)
+	}
+	b.open = open[:0]
+	return ub
 }
 
 // feasible reports whether P ∪ {v} is still a k-plex: v itself must have
@@ -328,17 +439,12 @@ func (b *bbState) search(cand []int) {
 	if ub <= b.best {
 		return
 	}
-	// Per-member complement budget: any k-plex S ⊇ P with S\P ⊆ feas has
-	// |compVec(u) ∩ S| ≤ k-1 for each u ∈ P, so at least
-	// |compVec(u) ∩ feas| - (k-1-cdeg[u]) feasible candidates stay out.
+	room := b.room[:0]
 	for _, u := range b.pList {
-		if excess := b.e.compVec[u].AndCount(feasVec) - (b.e.k - 1 - b.cdeg[u]); excess > 0 {
-			if bound := len(b.pList) + len(feas) - excess; bound < ub {
-				ub = bound
-			}
-		}
+		room = append(room, b.e.k-1-b.cdeg[u])
 	}
-	if ub <= b.best {
+	b.room = room
+	if b.partitionBound(b.pList, room, feasVec, len(feas), b.best) <= b.best {
 		return
 	}
 	v := feas[0]

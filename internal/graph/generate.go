@@ -13,17 +13,25 @@ func Gnm(n, m int, seed int64) *Graph {
 		panic(fmt.Sprintf("graph: Gnm(%d,%d): m out of range [0,%d]", n, m, maxM))
 	}
 	rng := rand.New(rand.NewSource(seed))
-	// Sample m distinct pair indices without replacement (partial
-	// Fisher-Yates over the implicit pair list).
-	pairs := make([]int, maxM)
-	for i := range pairs {
-		pairs[i] = i
+	// Sample m distinct pair indices without replacement: a partial
+	// Fisher-Yates over the implicit pair list 0..maxM-1. Only the
+	// positions a swap has touched differ from the identity, so they live
+	// in a map and memory is O(m) however large n is.
+	moved := make(map[int]int, m)
+	at := func(i int) int {
+		if p, ok := moved[i]; ok {
+			return p
+		}
+		return i
 	}
 	g := New(n)
 	for i := 0; i < m; i++ {
 		j := i + rng.Intn(maxM-i)
-		pairs[i], pairs[j] = pairs[j], pairs[i]
-		u, v := pairFromIndex(pairs[i], n)
+		// Swap positions i and j and take position i; the loop never
+		// reads position i again, so only j's new entry is stored.
+		pick := at(j)
+		moved[j] = at(i)
+		u, v := pairFromIndex(pick, n)
 		g.AddEdge(u, v)
 	}
 	return g

@@ -1,6 +1,9 @@
 package graph
 
 import (
+	"math/rand"
+	"reflect"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -36,6 +39,69 @@ func TestGnmDeterministic(t *testing.T) {
 	}
 	if same {
 		t.Error("different seeds produced identical graphs (suspicious)")
+	}
+}
+
+// gnmReference is Gnm as it was before its partial Fisher-Yates moved
+// to a sparse swap map: the whole n(n-1)/2-entry pair list is
+// materialised. Kept as the reference Gnm's draws must reproduce, since
+// benchmark and test instances come from Gnm.
+func gnmReference(n, m int, seed int64) *Graph {
+	maxM := n * (n - 1) / 2
+	rng := rand.New(rand.NewSource(seed))
+	pairs := make([]int, maxM)
+	for i := range pairs {
+		pairs[i] = i
+	}
+	g := New(n)
+	for i := 0; i < m; i++ {
+		j := i + rng.Intn(maxM-i)
+		pairs[i], pairs[j] = pairs[j], pairs[i]
+		u, v := pairFromIndex(pairs[i], n)
+		g.AddEdge(u, v)
+	}
+	return g
+}
+
+// Gnm picks exactly the reference's pairs for every n up to 200, edge
+// counts across the whole range 0..n(n-1)/2 and several seeds. The
+// near-complete counts, the slowest to draw, run on every tenth n.
+func TestGnmMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(91))
+	for n := 0; n <= 200; n++ {
+		maxM := n * (n - 1) / 2
+		ms := []int{0, 1, 4 * n, rng.Intn(maxM + 1)}
+		if n%10 == 0 || n < 40 {
+			ms = append(ms, maxM/2, maxM-1, maxM)
+		}
+		for _, m := range ms {
+			if m < 0 || m > maxM {
+				continue
+			}
+			for seed := int64(1); seed <= 3; seed++ {
+				got, want := Gnm(n, m, seed).Edges(), gnmReference(n, m, seed).Edges()
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("Gnm(%d, %d, %d) drew other edges than the reference", n, m, seed)
+				}
+			}
+		}
+	}
+}
+
+// Gnm's memory follows m, not n(n-1)/2: ten edges on 5 000 vertices cost
+// the dense graph (about 3.4 MB) and little else, where the materialised
+// pair list alone took about 100 MB.
+func TestGnmAllocationFollowsM(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	g := Gnm(5000, 10, 1)
+	runtime.ReadMemStats(&after)
+	if g.M() != 10 {
+		t.Fatalf("Gnm(5000, 10, 1) has %d edges", g.M())
+	}
+	t.Logf("Gnm(5000, 10, 1) allocated %d bytes", after.TotalAlloc-before.TotalAlloc)
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 8<<20 {
+		t.Fatalf("Gnm(5000, 10, 1) allocated %.1f MB, want under 8 MB", float64(alloc)/(1<<20))
 	}
 }
 

@@ -78,25 +78,34 @@ func Naive(g *graph.Graph, k int) (Result, error) {
 type bsState struct {
 	g     *graph.Graph
 	k     int
-	n     int
-	inP   []bool
-	degP  []int // degree inside P, maintained incrementally
-	pSize int
+	nbrs  [][]int // neighbour lists, so add and remove cost deg(v)
+	pList []int   // members of P
+	degP  []int   // degree inside P, maintained incrementally
 	best  []int
 	nodes int64
+	depth int
+	cands [][]int // per-depth feasible-candidate buffers
 }
 
 // BS finds a maximum k-plex with a branch-and-search algorithm in the
 // style of the paper's baseline: include/exclude branching on a pivot
 // candidate, candidate filtering against the k-plex invariants, the
 // trivial |P|+|Cand| bound and the per-vertex support bound
-// size ≤ deg_P(u) + |N(u)∩Cand| + k for every u ∈ P.
+// size ≤ deg_P(u) + |N(u)∩Cand| + k for every u ∈ P. The bookkeeping
+// runs over the member list and neighbour lists, so a membership test
+// costs O(|P|), an add or remove O(deg(v)), and a search node allocates
+// nothing once the per-depth candidate buffers are warm. It shares no
+// code with fastoracle, so it stays an independent reference for the
+// exact path.
 func BS(g *graph.Graph, k int) (Result, error) {
 	if k < 1 {
 		return Result{}, fmt.Errorf("kplex: k=%d must be ≥ 1", k)
 	}
 	n := g.N()
-	st := &bsState{g: g, k: k, n: n, inP: make([]bool, n), degP: make([]int, n)}
+	st := &bsState{g: g, k: k, nbrs: make([][]int, n), degP: make([]int, n)}
+	for v := range st.nbrs {
+		st.nbrs[v] = g.Neighbors(v)
+	}
 	// Seed the incumbent with a greedy solution so pruning bites early.
 	st.best = Greedy(g, k)
 	cand := make([]int, n)
@@ -112,13 +121,14 @@ func BS(g *graph.Graph, k int) (Result, error) {
 
 // canAdd reports whether P ∪ {v} remains a k-plex.
 func (st *bsState) canAdd(v int) bool {
+	need := len(st.pList) + 1 - st.k
 	// v itself must have enough neighbours in P ∪ {v}.
-	if st.degP[v] < st.pSize+1-st.k {
+	if st.degP[v] < need {
 		return false
 	}
 	// Every existing member must tolerate the growth.
-	for u := 0; u < st.n; u++ {
-		if st.inP[u] && !st.g.HasEdge(u, v) && st.degP[u] < st.pSize+1-st.k {
+	for _, u := range st.pList {
+		if st.degP[u] < need && !st.g.HasEdge(u, v) {
 			return false
 		}
 	}
@@ -126,56 +136,48 @@ func (st *bsState) canAdd(v int) bool {
 }
 
 func (st *bsState) add(v int) {
-	st.inP[v] = true
-	st.pSize++
-	for u := 0; u < st.n; u++ {
-		if st.g.HasEdge(u, v) {
-			st.degP[u]++
-		}
+	st.pList = append(st.pList, v)
+	for _, u := range st.nbrs[v] {
+		st.degP[u]++
 	}
 }
 
+// remove undoes the latest add, which added v.
 func (st *bsState) remove(v int) {
-	st.inP[v] = false
-	st.pSize--
-	for u := 0; u < st.n; u++ {
-		if st.g.HasEdge(u, v) {
-			st.degP[u]--
-		}
+	st.pList = st.pList[:len(st.pList)-1]
+	for _, u := range st.nbrs[v] {
+		st.degP[u]--
 	}
 }
 
 func (st *bsState) search(cand []int) {
 	st.nodes++
 	// Filter candidates down to vertices that can individually join P.
-	feasible := cand[:0:0]
+	// The buffer for this depth stays valid while deeper calls run.
+	for len(st.cands) <= st.depth {
+		st.cands = append(st.cands, nil)
+	}
+	feasible := st.cands[st.depth][:0]
 	for _, v := range cand {
 		if st.canAdd(v) {
 			feasible = append(feasible, v)
 		}
 	}
-	// Record the incumbent.
-	if st.pSize > len(st.best) {
-		st.best = st.best[:0]
-		for v := 0; v < st.n; v++ {
-			if st.inP[v] {
-				st.best = append(st.best, v)
-			}
-		}
+	st.cands[st.depth] = feasible
+	// Record the incumbent (sorted once, when the search ends).
+	if len(st.pList) > len(st.best) {
+		st.best = append(st.best[:0], st.pList...)
 	}
 	if len(feasible) == 0 {
 		return
 	}
 	// Trivial bound.
-	if st.pSize+len(feasible) <= len(st.best) {
+	if len(st.pList)+len(feasible) <= len(st.best) {
 		return
 	}
 	// Support bound: any extension S of P satisfies, for each u ∈ P,
 	// |S| ≤ deg_S(u) + k ≤ deg_P(u) + |N(u)∩feasible| + k.
-	for u := 0; u < st.n; u++ {
-		if !st.inP[u] {
-			continue
-		}
+	for _, u := range st.pList {
 		support := st.degP[u] + st.k
 		for _, v := range feasible {
 			if st.g.HasEdge(u, v) {
@@ -189,12 +191,14 @@ func (st *bsState) search(cand []int) {
 	// Branch on the first feasible candidate (already degree-ordered).
 	v := feasible[0]
 	rest := feasible[1:]
+	st.depth++
 	// Include branch first: deep dives find large incumbents quickly.
 	st.add(v)
 	st.search(rest)
 	st.remove(v)
 	// Exclude branch.
 	st.search(rest)
+	st.depth--
 }
 
 // BBOptions tunes the exact BB pipeline. The zero value is BB's

@@ -391,6 +391,18 @@ func TestErrorTaxonomyOverHTTP(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("malformed: status %d, want 400", resp.StatusCode)
 	}
+	// A stray closing bracket or brace after the document → 400.
+	for _, tail := range []string{"]", "}"} {
+		doc := `{"v":1,"algo":"greedy","k":2,"graph":{"n":3,"edges":[[1,2]]}}` + tail
+		resp, err := http.Post(ts.URL+"/v1/solve", "application/json", strings.NewReader(doc))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("trailing %q: status %d, want 400", tail, resp.StatusCode)
+		}
+	}
 	// Admission cap → 413.
 	res, status := postSolve(t, ts, &api.SolveRequest{V: api.Version, Algo: api.AlgoBB, K: 2, Graph: api.FromGraph(graph.Gnm(60, 100, 1))})
 	if status != http.StatusRequestEntityTooLarge || res.ErrorKind != api.KindTooLarge {
