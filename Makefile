@@ -81,9 +81,10 @@ race-bb:
 
 # One iteration of every benchmark: catches benchmarks that panic or
 # fatal without paying for stable timings. Covers the fast-path packages
-# (root BenchmarkOracleSweep/BenchmarkQMKPBinarySearch pairs included).
+# (root BenchmarkOracleSweep/BenchmarkQMKPBinarySearch pairs included)
+# and the request decoder (BenchmarkDecodeSolveRequest).
 bench-smoke:
-	$(GO) test -run '^$$' -bench . -benchtime 1x . ./internal/kplex/ ./internal/fastoracle/
+	$(GO) test -run '^$$' -bench . -benchtime 1x . ./internal/kplex/ ./internal/fastoracle/ ./internal/api/
 
 # The service benchmark's own smoke test (_bench is a separate module, so
 # `go test ./...` at the root skips it): every workload end to end at a

@@ -34,7 +34,7 @@
 //	0  solved
 //	1  input/runtime error
 //	2  bad request (core.ErrBadSpec: empty graph, k, T or -gen out of range, R ≤ 1, unknown sampler)
-//	3  instance too large (core.ErrTooLarge: the gate simulator's cap, or naive's)
+//	3  instance too large (core.ErrTooLarge: past the gate simulator's, naive's or qnclub's cap)
 //	4  verified infeasible (core.ErrInfeasible, qtkp only)
 //	5  canceled or timed out (core.ErrCanceled)
 //

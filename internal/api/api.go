@@ -8,6 +8,14 @@
 // silently dropping options). Check, the request defaults and RemapSets
 // are shared by both front ends, so neither restates them.
 //
+// DecodeSolveRequest has two paths over one read of the body. A
+// byte-level scanner (scan.go) decodes the subset of the schema that
+// clients send (exact-case keys, plain integers, strings without
+// escapes, an edge list of integer pairs) without reflection. Every other
+// document goes to encoding/json, whose accepted set and error texts are
+// the wire contract; it is also the reference the differential tests and
+// FuzzDecodeSolveRequest hold the scanner to.
+//
 // It also owns the error taxonomy of the service boundary: the mapping
 // from the typed core sentinels to CLI exit codes (formerly hard-coded
 // in cmd/qmkp) and to HTTP status codes (status.go), so every surface
@@ -18,6 +26,7 @@
 package api
 
 import (
+	"bytes"
 	"cmp"
 	"encoding/json"
 	"fmt"
@@ -292,12 +301,15 @@ const (
 )
 
 // decodeStrict decodes exactly one JSON document from r into v,
-// rejecting unknown fields and trailing content.
-func decodeStrict(r io.Reader, v any) error {
+// rejecting unknown fields and trailing content. op names the decode in
+// errors ("api: <op>: …"); the cause stays in the wrap chain beside
+// core.ErrBadSpec, so a read error such as *http.MaxBytesError is still
+// found by errors.As.
+func decodeStrict(r io.Reader, v any, op string) error {
 	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
-		return fmt.Errorf("api: decode: %v: %w", err, core.ErrBadSpec)
+		return fmt.Errorf("api: %s: %w: %w", op, err, core.ErrBadSpec)
 	}
 	// Only whitespace may follow. Decoder.More would not do here: it
 	// reports false before a stray ']' or '}', taking it for the end of an
@@ -311,22 +323,51 @@ func decodeStrict(r io.Reader, v any) error {
 // DecodeSolveRequest reads one SolveRequest and checks it against the
 // wire algorithms. Unknown fields, version mismatches, unknown
 // algorithms and out-of-range parameters all wrap core.ErrBadSpec.
+//
+// It reads the whole body, then tries scanRequest, a byte-level reader
+// for the subset of the schema that clients send (scan.go). A document
+// outside that subset, or a body whose read failed, goes through
+// encoding/json as the same byte stream, so both paths accept the same
+// documents, return equal requests and fail with the same texts.
 func DecodeSolveRequest(r io.Reader) (*SolveRequest, error) {
-	var req SolveRequest
-	if err := decodeStrict(r, &req); err != nil {
-		return nil, err
+	data, readErr := io.ReadAll(r)
+	var req *SolveRequest
+	if readErr == nil {
+		req = scanRequest(data)
+	}
+	if req == nil {
+		req = new(SolveRequest)
+		if err := decodeStrict(replay(data, readErr), req, "decode"); err != nil {
+			return nil, err
+		}
 	}
 	if err := req.Check(KnownAlgo); err != nil {
 		return nil, err
 	}
-	return &req, nil
+	return req, nil
 }
+
+// replay returns a reader that yields data and then, if err is not nil,
+// fails with err on every later read: the stream io.ReadAll saw, so
+// encoding/json meets a failed read (an oversized body under
+// http.MaxBytesReader, say) where it would have met it reading r.
+func replay(data []byte, err error) io.Reader {
+	if err == nil {
+		return bytes.NewReader(data)
+	}
+	return io.MultiReader(bytes.NewReader(data), failedRead{err})
+}
+
+// failedRead is a reader that always fails with err.
+type failedRead struct{ err error }
+
+func (f failedRead) Read([]byte) (int, error) { return 0, f.err }
 
 // DecodeSolveResult reads one SolveResult with the same strictness; the
 // client half of the round trip (cmd/qmkp-load, _bench, tests).
 func DecodeSolveResult(r io.Reader) (*SolveResult, error) {
 	var res SolveResult
-	if err := decodeStrict(r, &res); err != nil {
+	if err := decodeStrict(r, &res, "decode"); err != nil {
 		return nil, err
 	}
 	if res.V != Version {
@@ -336,11 +377,11 @@ func DecodeSolveResult(r io.Reader) (*SolveResult, error) {
 }
 
 // DecodeEvent reads one Event frame (the `data:` payload of an SSE
-// line).
+// line) with the same strictness.
 func DecodeEvent(data []byte) (*Event, error) {
 	var ev Event
-	if err := json.Unmarshal(data, &ev); err != nil {
-		return nil, fmt.Errorf("api: decode event: %v: %w", err, core.ErrBadSpec)
+	if err := decodeStrict(bytes.NewReader(data), &ev, "decode event"); err != nil {
+		return nil, err
 	}
 	if ev.V != Version {
 		return nil, fmt.Errorf("api: unsupported wire version %d (want %d): %w", ev.V, Version, core.ErrBadSpec)

@@ -122,6 +122,19 @@ func TestStrictDecoding(t *testing.T) {
 			t.Errorf("%s: error %v does not wrap ErrBadSpec", tc.name, err)
 		}
 	}
+	// Event frames decode as strictly, under their own prefix.
+	for _, doc := range []string{
+		`{"v":1,"type":"final","bogus":1}`,
+		`{"v":1,"type":"final"}]`,
+	} {
+		_, err := DecodeEvent([]byte(doc))
+		if !errors.Is(err, core.ErrBadSpec) {
+			t.Errorf("event %s: error %v does not wrap ErrBadSpec", doc, err)
+		}
+	}
+	if _, err := DecodeEvent([]byte(`{"v":1,"type":"final","bogus":1}`)); err == nil || !strings.HasPrefix(err.Error(), "api: decode event: ") {
+		t.Errorf("event with an unknown field: error %v, want the api: decode event: prefix", err)
+	}
 }
 
 // TestTrailingWhitespaceAccepted: whitespace after the document is not

@@ -13,7 +13,10 @@ import (
 // FuzzDecodeSolveRequest drives the shared request validation with
 // arbitrary bytes. Every document either decodes or fails with an error
 // wrapping core.ErrBadSpec, never a panic, and an accepted request
-// survives encode → decode unchanged. The target never calls
+// survives encode → decode unchanged. The decoder is also held to the
+// encoding/json reference: deep-equal requests or identical error
+// texts, and a document the byte-level scanner takes decodes to the
+// same request under encoding/json. The target never calls
 // Graph.Build: the daemon caps n before it builds, so a fuzzed vertex
 // count must not reach the allocation.
 func FuzzDecodeSolveRequest(f *testing.F) {
@@ -40,7 +43,11 @@ func FuzzDecodeSolveRequest(f *testing.F) {
 	} {
 		f.Add([]byte(doc))
 	}
+	for _, c := range decodeCases {
+		f.Add([]byte(c.doc))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
+		checkAgainstReference(t, data)
 		req, err := DecodeSolveRequest(bytes.NewReader(data))
 		if err != nil {
 			if !errors.Is(err, core.ErrBadSpec) {

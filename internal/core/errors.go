@@ -12,10 +12,12 @@ var (
 	// out of range, unknown algorithm or sampler.
 	ErrBadSpec = errors.New("core: bad solve spec")
 
-	// ErrTooLarge marks an instance beyond the gate-model simulator's
-	// capacity (n > MaxGateVertices vertex qubits: each probe sweeps the
-	// oracle over all 2^n subsets). The annealing path has no such cap.
-	ErrTooLarge = errors.New("core: instance too large for the gate simulator")
+	// ErrTooLarge marks an instance past a size cap: the gate-model
+	// simulator's (n > MaxGateVertices vertex qubits: each probe sweeps
+	// the oracle over all 2^n subsets), the CLI's exhaustive baselines'
+	// (naive, qnclub), or the daemon's vertex and request-body caps. The
+	// annealing and branch-and-bound paths have no cap of their own.
+	ErrTooLarge = errors.New("core: instance too large")
 
 	// ErrInfeasible marks a QTKP probe that verified absence: no
 	// k-plex of size ≥ T exists. The TKPResult alongside it still

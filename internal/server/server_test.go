@@ -408,6 +408,14 @@ func TestErrorTaxonomyOverHTTP(t *testing.T) {
 	if status != http.StatusRequestEntityTooLarge || res.ErrorKind != api.KindTooLarge {
 		t.Errorf("oversized: status %d kind %q, want 413 %q", status, res.ErrorKind, api.KindTooLarge)
 	}
+	// A request body past the byte cap → 413, not a decode error's 400.
+	capped := httptest.NewServer(New(Config{MaxRequestBytes: 64}).Handler())
+	defer capped.Close()
+	cycle := api.Graph{N: 5, Edges: [][2]int{{1, 2}, {2, 3}, {3, 4}, {4, 5}, {1, 5}}}
+	res, status = postSolve(t, capped, &api.SolveRequest{V: api.Version, Algo: api.AlgoBB, K: 2, Graph: cycle})
+	if status != http.StatusRequestEntityTooLarge || res.ErrorKind != api.KindTooLarge {
+		t.Errorf("body past the cap: status %d kind %q (%s), want 413 %q", status, res.ErrorKind, res.Error, api.KindTooLarge)
+	}
 	// An annealing penalty of at most 1 is the caller's error → 400.
 	for _, r := range []float64{0.5, 1, -3} {
 		res, status = postSolve(t, ts, &api.SolveRequest{V: api.Version, Algo: api.AlgoQAMKP, K: 2, Graph: small, Anneal: &api.AnnealParams{R: r}})
