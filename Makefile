@@ -77,7 +77,7 @@ race:
 # ForScratch fan-out and the frozen-incumbent waves under contention.
 race-bb:
 	REPRO_WORKERS=8 $(GO) test -race -run 'BranchBound|Differential|KernelMatchesRaw' \
-		./internal/fastoracle/ ./internal/kplex/
+		./internal/kplex/
 
 # One iteration of every benchmark: catches benchmarks that panic or
 # fatal without paying for stable timings. Covers the fast-path packages
@@ -99,17 +99,17 @@ bench-e2e-smoke:
 # artifact behind EXPERIMENTS.md's speedup table and the CI upload.
 # BENCH_ISSUE7.json captures the Table-vs-branch-and-bound crossover
 # (exhaustive 2^n sweep against pruned search for one maximum query as n
-# grows, plus the n=100 beyond-the-mask-wall point).
+# grows, plus the n=100 beyond-the-mask-wall point). The branch-and-bound
+# benchmarks live beside the engine in internal/kplex.
 bench-json:
 	{ $(GO) test -run '^$$' -bench 'BenchmarkOracleSweep|BenchmarkQMKPBinarySearch' . ; \
 	  $(GO) test -run '^$$' -bench 'BenchmarkGreedy|BenchmarkEvaluatorSweep' ./internal/kplex/ ./internal/fastoracle/ ; } \
 	| $(GO) run ./cmd/benchjson > BENCH_ISSUE3.json
 	@cat BENCH_ISSUE3.json
-	$(GO) test -run '^$$' -bench 'BenchmarkStoreCrossover' ./internal/fastoracle/ \
+	$(GO) test -run '^$$' -bench 'BenchmarkStoreCrossover' ./internal/kplex/ \
 	| $(GO) run ./cmd/benchjson > BENCH_ISSUE7.json
 	@cat BENCH_ISSUE7.json
-	{ $(GO) test -run '^$$' -bench 'BenchmarkBBEndToEnd' ./internal/kplex/ ; \
-	  $(GO) test -run '^$$' -bench 'BenchmarkBBFeasible' ./internal/fastoracle/ ; } \
+	$(GO) test -run '^$$' -bench 'BenchmarkBBEndToEnd|BenchmarkBBFeasible' ./internal/kplex/ \
 	| $(GO) run ./cmd/benchjson > BENCH_ISSUE8.json
 	@cat BENCH_ISSUE8.json
 
@@ -178,5 +178,6 @@ fuzz-smoke:
 	$(GO) test ./internal/oracle/ -run FuzzFastOracle -fuzz FuzzFastOracle -fuzztime 5s
 	$(GO) test ./internal/grover/ -run FuzzGroverPlane -fuzz FuzzGroverPlane -fuzztime 5s
 	$(GO) test ./internal/api/ -run FuzzDecodeSolveRequest -fuzz FuzzDecodeSolveRequest -fuzztime 5s
+	$(GO) test ./internal/server/ -run FuzzExecute -fuzz FuzzExecute -fuzztime 5s
 
 ci: build fmt-check vet lint lint-concurrency test race race-bb race-server bench-smoke bench-e2e-smoke obs-smoke paper-gate-check serve-smoke fuzz-smoke

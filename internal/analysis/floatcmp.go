@@ -9,9 +9,8 @@ import (
 
 // FloatCmp forbids exact == / != comparisons between floating-point or
 // complex operands in the non-test files of the numeric packages (qsim,
-// qubo, anneal, grover, fastoracle). Amplitudes, energies and QUBO
-// coefficients are
-// accumulated in different orders by different code paths; exact
+// qubo, anneal, grover, fastoracle, kplex). Amplitudes, energies and QUBO
+// coefficients are accumulated in different orders by different code paths; exact
 // equality on them is a reproducibility landmine. Compare against a
 // tolerance instead, or — where exact identity of an untouched value is
 // genuinely intended — annotate the line with //lint:allow floatcmp.
@@ -27,8 +26,10 @@ func (FloatCmp) Doc() string {
 
 // floatCmpPackages are the import-path suffixes subject to the check.
 // parallel and embedding joined the list when their reduction folds and
-// chain-strength arithmetic became part of the reproducibility surface.
-var floatCmpPackages = []string{"/qsim", "/qubo", "/anneal", "/grover", "/fastoracle", "/parallel", "/embedding"}
+// chain-strength arithmetic became part of the reproducibility surface;
+// kplex holds the exact branch-and-bound, whose answers must not depend
+// on rounding.
+var floatCmpPackages = []string{"/qsim", "/qubo", "/anneal", "/grover", "/fastoracle", "/kplex", "/parallel", "/embedding"}
 
 // Check implements Analyzer.
 func (a FloatCmp) Check(pkg *Package) []Diagnostic {

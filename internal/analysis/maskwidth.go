@@ -61,10 +61,10 @@ type MaskAPI struct {
 const oneWordLimit = 64
 
 // DefaultMaskWidth returns the analyzer wired to the repo's one-word
-// mask surfaces. fastoracle.New is no longer seeded: since the
-// multi-word migration it accepts any vertex count (the one-word
-// surface inside it guards itself), so only the graph mask-convention
-// APIs still carry the implicit n ≤ 64 precondition.
+// mask surfaces. fastoracle.New is not seeded: it refuses n > 64 with an
+// error before it reads a mask (the early bailout guards its own
+// NeighborMask calls), so its callers inherit no precondition; only the
+// graph mask-convention APIs still carry the implicit n ≤ 64.
 func DefaultMaskWidth() MaskWidth {
 	return MaskWidth{APIs: []MaskAPI{
 		{PkgSuffix: "internal/graph", Func: "MaskSubset"},

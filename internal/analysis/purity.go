@@ -8,8 +8,8 @@ import (
 
 // Purity is the static half of the fast-vs-circuit equivalence contract
 // (DESIGN.md §7): every function reachable from a determinism root —
-// oracle.TruthTable, the fastoracle.Evaluator methods, core.runTKPPred —
-// must not write package-level state. A hidden global cache or counter
+// oracle.TruthTable, the fastoracle.Evaluator methods, core.runTKPPred,
+// kplex.BBOpt — must not write package-level state. A hidden global cache or counter
 // on those paths couples one run's answers to another's, which the
 // sampled dynamic equivalence tests cannot reliably catch.
 //
@@ -41,6 +41,9 @@ func DefaultPurity() Purity {
 		{PkgSuffix: "internal/fastoracle", Recv: "Evaluator", Func: "*"},
 		{PkgSuffix: "internal/fastoracle", Recv: "Table", Func: "*"},
 		{PkgSuffix: "internal/core", Func: "runTKPPred"},
+		// The exact classical entry point: greedy, kernel and the
+		// wave-parallel branch-and-bound behind it.
+		{PkgSuffix: "internal/kplex", Func: "BBOpt"},
 		// The observability layer sits on the solver hot paths; all of
 		// its state (sequence numbers, counters, registries) must stay
 		// instance-carried so two solves never couple through a global.

@@ -7,7 +7,7 @@ import (
 )
 
 // WallTime bans wall-clock readings from the result-producing paths of
-// the algorithm packages (anneal, grover, qsim, fastoracle, core). A
+// the algorithm packages (anneal, grover, qsim, fastoracle, kplex, core). A
 // time.Now / time.Since value that steers control flow or lands in an
 // output value makes results depend on host speed and scheduling —
 // unreproducible by construction. Wall time may only flow into the
@@ -30,7 +30,9 @@ func (WallTime) Doc() string {
 // The observability layer (/obs) is included because its span stream is
 // part of the deterministic output contract: clock readings there may
 // only land in the Elapsed annotation, never in ordering or content.
-var wallTimePackages = []string{"/anneal", "/grover", "/qsim", "/fastoracle", "/core", "/obs"}
+// kplex holds the exact branch-and-bound, whose wave schedule must not
+// depend on host speed.
+var wallTimePackages = []string{"/anneal", "/grover", "/qsim", "/fastoracle", "/kplex", "/core", "/obs"}
 
 // wallTimeMetricsFields are field names understood to be reporting-only:
 // assigning a clock reading to them is the sanctioned sink.

@@ -4,6 +4,9 @@
 // popcounts over packed complement-adjacency words instead of replaying
 // the compiled reversible circuit. One oracle evaluation drops from
 // O(gates) (thousands of gate operations) to O(|mask|) word operations.
+// Subsets are one-word masks in the paper's ket convention, so the
+// package serves instances of at most 64 vertices; the exact classical
+// search past that lives in package kplex.
 //
 // The package also provides the cross-threshold cache behind every
 // gate-model probe (qTKP's one probe, qMKP's binary search): the k-cplex
@@ -25,89 +28,55 @@ import (
 	"fmt"
 	"math/bits"
 
-	"repro/internal/bitvec"
 	"repro/internal/graph"
 	"repro/internal/parallel"
 )
 
-// ErrTooLarge marks an instance above TableMaxVertices, past which the
-// exhaustive Table is not built. Callers branch with errors.Is.
+// ErrTooLarge marks an instance past a size cap: more than 64 vertices,
+// which New refuses because subset masks are one word, or more than
+// TableMaxVertices, past which the exhaustive Table is not built.
+// Callers branch with errors.Is.
 var ErrTooLarge = errors.New("fastoracle: instance too large")
 
-// Evaluator answers the oracle predicate for one fixed graph and k, at
-// any vertex count. Two representations coexist:
-//
-//   - the one-word fast case (n ≤ 64): subset masks in the paper's ket
-//     convention (vertex i at bit n-1-i, see graph.MaskSubset), answered
-//     by KPlexMask/Marked — bit-identical to the compiled circuit;
-//   - the multi-word case (any n): natural-order bitvec subsets
-//     (vertex v at bit v, see graph.SubsetVec), answered by
-//     KPlexVec/KPlexSet over packed multi-word complement rows.
-//
-// All methods are safe for concurrent use once built.
+// Evaluator answers the oracle predicate for one fixed graph and k on
+// subset masks in the paper's ket convention (vertex i at bit n-1-i, see
+// graph.MaskSubset), bit-identical to the compiled circuit. It is safe
+// for concurrent use once built.
 type Evaluator struct {
 	n, k int
 	// adjComp[v] is the complement adjacency row of vertex v as a subset
 	// mask: bit n-1-u is set iff {v,u} is a complement edge. The k-cplex
 	// check for a member v is then popcount(adjComp[v] & mask) ≤ k-1.
-	// One-word fast case only: nil when n > 64.
 	adjComp []uint64
-	// compVec[v] is the same complement row as a natural-order bit vector
-	// (bit u set iff {v,u} is a complement edge; no self bit) — the
-	// multi-word representation backing KPlexVec and BranchBound.
-	compVec []*bitvec.Vector
 }
 
 // New builds the evaluator for graph g (the original graph; the
-// complement is formed internally, mirroring oracle.Build). Any vertex
-// count is accepted; the one-word mask surface additionally requires
-// n ≤ 64 and is only materialised below that width.
+// complement is formed internally, mirroring oracle.Build). It refuses
+// an empty graph, k outside [1, n], and n > 64 (wrapping ErrTooLarge):
+// a subset mask is one word.
 func New(g *graph.Graph, k int) (*Evaluator, error) {
 	n := g.N()
 	if n < 1 {
 		return nil, fmt.Errorf("fastoracle: empty graph")
 	}
+	if n > 64 {
+		return nil, fmt.Errorf("fastoracle: one-word masks need n ≤ 64, got n=%d: %w", n, ErrTooLarge)
+	}
 	if k < 1 || k > n {
 		return nil, fmt.Errorf("fastoracle: k=%d out of range [1,%d]", k, n)
 	}
-	e := &Evaluator{n: n, k: k, compVec: make([]*bitvec.Vector, n)}
+	e := &Evaluator{n: n, k: k, adjComp: make([]uint64, n)}
+	full := ^uint64(0) >> uint(64-n)
 	for v := 0; v < n; v++ {
-		// Complement row = all vertices minus v itself minus g-neighbours.
-		row := bitvec.New(n)
-		row.SetAll()
-		row.Set(v, false)
-		row.AndNot(g.NeighborVec(v))
-		e.compVec[v] = row
-	}
-	if n <= 64 {
-		e.adjComp = make([]uint64, n)
-		full := ^uint64(0) >> uint(64-n)
-		for v := 0; v < n; v++ {
-			e.adjComp[v] = full &^ (uint64(1) << uint(n-1-v)) &^ g.NeighborMask(v)
-		}
+		e.adjComp[v] = full &^ (uint64(1) << uint(n-1-v)) &^ g.NeighborMask(v)
 	}
 	return e, nil
 }
 
-// N returns the vertex count.
-func (e *Evaluator) N() int { return e.n }
-
-// K returns the plex parameter.
-func (e *Evaluator) K() int { return e.k }
-
-// maskable panics unless the one-word mask surface exists (n ≤ 64).
-func (e *Evaluator) maskable() {
-	if e.adjComp == nil {
-		panic(fmt.Sprintf("fastoracle: n=%d exceeds the one-word mask surface (n ≤ 64); use KPlexVec/KPlexSet", e.n))
-	}
-}
-
 // KPlexMask reports whether the mask-encoded subset is a k-plex of g —
 // equivalently a k-cplex of the complement, the T-independent half of the
-// oracle predicate. O(|mask|) popcounts. One-word fast case: panics when
-// n > 64 (use KPlexVec there).
+// oracle predicate. O(|mask|) popcounts.
 func (e *Evaluator) KPlexMask(mask uint64) bool {
-	e.maskable()
 	for m := mask; m != 0; m &= m - 1 {
 		v := e.n - 1 - bits.TrailingZeros64(m)
 		if bits.OnesCount64(e.adjComp[v]&mask) > e.k-1 {
@@ -121,26 +90,6 @@ func (e *Evaluator) KPlexMask(mask uint64) bool {
 // size ≥ T. Bit-identical to the compiled circuit's output qubit.
 func (e *Evaluator) Marked(mask uint64, T int) bool {
 	return bits.OnesCount64(mask) >= T && e.KPlexMask(mask)
-}
-
-// KPlexVec is KPlexMask for the multi-word representation: s is a
-// natural-order membership vector (graph.SubsetVec) of length n. Defined
-// at any vertex count; one AndCount popcount sweep per member.
-func (e *Evaluator) KPlexVec(s *bitvec.Vector) bool {
-	if s.Len() != e.n {
-		panic(fmt.Sprintf("fastoracle: subset length %d != n=%d", s.Len(), e.n))
-	}
-	for v := s.NextSet(0); v >= 0; v = s.NextSet(v + 1) {
-		if e.compVec[v].AndCount(s) > e.k-1 {
-			return false
-		}
-	}
-	return true
-}
-
-// KPlexSet is KPlexVec for a plain vertex list.
-func (e *Evaluator) KPlexSet(set []int) bool {
-	return e.KPlexVec(graph.SubsetVec(set, e.n))
 }
 
 // tableGrain is the per-chunk word count of the parallel table build: 64
@@ -170,7 +119,7 @@ type Table struct {
 // NewStore builds the Table for (g, k): the one k-plex cache behind
 // every probe of a gate-model request. Above TableMaxVertices it returns
 // an ErrTooLarge-wrapped error; the exact answer for those instances
-// comes from Evaluator.BranchBound, which has no mask surface to cache.
+// comes from kplex.BBOpt, whose search has no mask surface to cache.
 func NewStore(g *graph.Graph, k int) (*Table, error) {
 	e, err := New(g, k)
 	if err != nil {

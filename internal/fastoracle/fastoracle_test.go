@@ -1,6 +1,7 @@
 package fastoracle
 
 import (
+	"errors"
 	"math/bits"
 	"math/rand"
 	"testing"
@@ -59,26 +60,13 @@ func TestEvaluatorValidation(t *testing.T) {
 	if _, err := New(graph.New(0), 1); err == nil {
 		t.Error("empty graph accepted")
 	}
-	// n=65 no longer errors — the multi-word representation covers it —
-	// but the one-word mask surface must refuse loudly rather than shift
-	// out of the word.
-	e, err := New(graph.New(65), 1)
-	if err != nil {
-		t.Fatalf("n=65 rejected, want multi-word evaluator: %v", err)
+	// Subset masks are one word: n=65 is refused up front with a typed
+	// error, not left to panic on the first mask.
+	if _, err := New(graph.New(65), 1); !errors.Is(err, ErrTooLarge) {
+		t.Errorf("n=65: got %v, want ErrTooLarge", err)
 	}
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("KPlexMask at n=65 did not panic")
-			}
-		}()
-		e.KPlexMask(1)
-	}()
-	if !e.KPlexSet([]int{64}) {
-		t.Error("KPlexSet rejected a singleton (always a k-plex)")
-	}
-	if e.KPlexSet([]int{0, 64}) {
-		t.Error("KPlexSet accepted a non-adjacent pair as a 1-plex")
+	if _, err := New(graph.New(64), 1); err != nil {
+		t.Errorf("n=64 refused: %v", err)
 	}
 }
 

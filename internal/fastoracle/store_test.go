@@ -2,7 +2,6 @@ package fastoracle
 
 import (
 	"errors"
-	"fmt"
 	"testing"
 
 	"repro/internal/graph"
@@ -61,52 +60,4 @@ func TestNewStoreCutover(t *testing.T) {
 			t.Fatalf("n=%d store: got (%v, %v), want (nil, ErrTooLarge)", n, s, err)
 		}
 	}
-}
-
-// BenchmarkStoreCrossover times the two ways of answering "what is the
-// maximum k-plex size" as n grows: the exhaustive Table sweep (2^n
-// semantic evaluations, parallel) against branch-and-bound (pruned
-// search). The Table wins only while 2^n is small; it stays the gate
-// path's cache because one sweep serves every probe of a request, while
-// a single maximum query is cheaper by search.
-func BenchmarkStoreCrossover(b *testing.B) {
-	for _, n := range []int{12, 16, 20, 24} {
-		g := graph.Gnm(n, 3*n, 21)
-		e, err := New(g, 2)
-		if err != nil {
-			b.Fatal(err)
-		}
-		want := branchBound(b, e, g, BBOptions{}).Size
-		b.Run(fmt.Sprintf("table/n=%d", n), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				tab, terr := e.Table()
-				if terr != nil {
-					b.Fatal(terr)
-				}
-				if tab.MaxPlexSize() != want {
-					b.Fatal("table disagrees with branch-and-bound")
-				}
-			}
-		})
-		b.Run(fmt.Sprintf("bb/n=%d", n), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if branchBound(b, e, g, BBOptions{}).Size != want {
-					b.Fatal("branch-and-bound became inconsistent")
-				}
-			}
-		})
-	}
-	// Past the one-word wall only the branch-and-bound exists.
-	g := graph.Gnm(100, 300, 7)
-	e, err := New(g, 2)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Run("bb/n=100", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if branchBound(b, e, g, BBOptions{}).Size < 2 {
-				b.Fatal("implausible maximum on the 100-vertex instance")
-			}
-		}
-	})
 }

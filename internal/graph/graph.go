@@ -1,5 +1,5 @@
 // Package graph implements the undirected, unweighted graphs the paper's
-// algorithms operate on: construction, complementation, k-plex/k-cplex
+// algorithms operate on: construction, complementation, k-plex
 // verification, synthetic generators matching the paper's datasets, and
 // a small text format. Reductions, the paper's core–truss co-pruning
 // among them, live in package reduce.
@@ -201,57 +201,11 @@ func (g *Graph) CommonNeighbors(u, v int) int {
 
 // NeighborVec returns a copy of v's adjacency row as a bit vector in
 // natural order (bit u set iff {v,u} ∈ E) — the multi-word counterpart of
-// NeighborMask, defined at any n. Mutating the copy does not affect g.
+// NeighborMask, defined at any n, from which kplex's branch-and-bound
+// builds its complement rows. Mutating the copy does not affect g.
 func (g *Graph) NeighborVec(v int) *bitvec.Vector {
 	g.checkVertex(v)
 	return g.adj[v].Clone()
-}
-
-// InducedDegreeVec is InducedDegree for a natural-order membership vector:
-// |N(v) ∩ set| in one word-level popcount sweep, at any n (v's own bit
-// never contributes — rows carry no self-loops).
-func (g *Graph) InducedDegreeVec(v int, set *bitvec.Vector) int {
-	g.checkVertex(v)
-	return g.adj[v].AndCount(set)
-}
-
-// SubsetVec is the multi-word counterpart of SubsetMask: vertex v of set
-// becomes bit v (natural order, no ket reversal), at any n.
-func SubsetVec(set []int, n int) *bitvec.Vector {
-	out := bitvec.New(n)
-	for _, v := range set {
-		if v < 0 || v >= n {
-			panic(fmt.Sprintf("graph: vertex %d out of range [0,%d)", v, n))
-		}
-		out.Set(v, true)
-	}
-	return out
-}
-
-// VecSubset is the inverse of SubsetVec: the sorted member list of a
-// natural-order membership vector.
-func VecSubset(s *bitvec.Vector) []int {
-	out := make([]int, 0, s.OnesCount())
-	for v := s.NextSet(0); v >= 0; v = s.NextSet(v + 1) {
-		out = append(out, v)
-	}
-	return out
-}
-
-// IsKPlexVec is IsKPlex for a natural-order membership vector: every
-// member needs |N(v) ∩ S| ≥ |S|-k, checked with one AndCount per member.
-// Defined at any n — the multi-word counterpart of IsKPlexMask.
-func (g *Graph) IsKPlexVec(s *bitvec.Vector, k int) bool {
-	if k < 1 {
-		return false
-	}
-	size := s.OnesCount()
-	for v := s.NextSet(0); v >= 0; v = s.NextSet(v + 1) {
-		if g.adj[v].AndCount(s) < size-k {
-			return false
-		}
-	}
-	return true
 }
 
 // checkMaskWidth guards every mask-convention entry point: subset masks

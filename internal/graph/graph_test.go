@@ -277,7 +277,6 @@ func TestMaskConventionRejectsWideGraphs(t *testing.T) {
 			g := New(65)
 			g.NeighborMask(0)
 		},
-		"IsKPlexMask": func() { New(65).IsKPlexMask(0, 1) },
 	} {
 		func() {
 			defer func() {
@@ -293,24 +292,5 @@ func TestMaskConventionRejectsWideGraphs(t *testing.T) {
 			}()
 			call()
 		}()
-	}
-}
-
-func TestIsKPlexMaskMatchesSetForm(t *testing.T) {
-	rng := rand.New(rand.NewSource(47))
-	for trial := 0; trial < 12; trial++ {
-		n := 3 + rng.Intn(9)
-		g := Gnp(n, 0.45, rng.Int63())
-		for k := 1; k <= 3; k++ {
-			for mask := uint64(0); mask < 1<<uint(n); mask++ {
-				want := g.IsKPlex(MaskSubset(mask, n), k)
-				if got := g.IsKPlexMask(mask, k); got != want {
-					t.Fatalf("n=%d k=%d mask=%b: mask form %v, set form %v", n, k, mask, got, want)
-				}
-			}
-		}
-	}
-	if New(3).IsKPlexMask(0b101, 0) {
-		t.Error("k=0 accepted")
 	}
 }

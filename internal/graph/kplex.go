@@ -1,10 +1,5 @@
 package graph
 
-import (
-	"fmt"
-	"math/bits"
-)
-
 // IsKPlex reports whether set is a k-plex in g: every v ∈ set has at least
 // |set|-k neighbours inside set. Following Definition 1, the empty set and
 // any single vertex are k-plexes for every k ≥ 1.
@@ -19,61 +14,4 @@ func (g *Graph) IsKPlex(set []int, k int) bool {
 		}
 	}
 	return true
-}
-
-// IsKCplex reports whether set is a k-cplex in g: every v ∈ set has at most
-// k-1 neighbours inside set. A set is a k-plex of G exactly when it is a
-// k-cplex of the complement Ḡ.
-func (g *Graph) IsKCplex(set []int, k int) bool {
-	if k < 1 {
-		return false
-	}
-	for _, v := range set {
-		if g.InducedDegree(v, set) > k-1 {
-			return false
-		}
-	}
-	return true
-}
-
-// IsKPlexMask is IsKPlex for a bitmask-encoded subset (paper's ket
-// convention; see MaskSubset). It runs on packed adjacency words — one
-// popcount per member instead of a decoded set walk — which is what makes
-// mask-space sweeps (Naive, the semantic oracle fast path) cheap.
-func (g *Graph) IsKPlexMask(mask uint64, k int) bool {
-	if k < 1 {
-		return false
-	}
-	checkMaskWidth(g.n)
-	mask &= ^uint64(0) >> uint(64-g.n) // stray high bits never named vertices
-	s := bits.OnesCount64(mask)
-	for m := mask; m != 0; m &= m - 1 {
-		v := g.n - 1 - bits.TrailingZeros64(m)
-		if bits.OnesCount64(g.NeighborMask(v)&mask) < s-k {
-			return false
-		}
-	}
-	return true
-}
-
-// CountKPlexesOfSize returns the number of k-plexes with exactly size T and
-// the number with size ≥ T, by exhaustive enumeration over all 2^n subsets.
-// It is the classical ground truth used to size Grover iteration counts in
-// tests and to validate the quantum counting routine. Exponential: intended
-// for n ≤ ~22, and hard-capped below 64 where the `1 << n` loop bound
-// would silently wrap.
-func (g *Graph) CountKPlexesOfSize(k, T int) (exactly, atLeast int) {
-	n := g.n
-	if n >= 64 {
-		panic(fmt.Sprintf("graph: CountKPlexesOfSize sweeps 2^n masks, needs n < 64, got n=%d", n))
-	}
-	for mask := uint64(0); mask < 1<<uint(n); mask++ {
-		if size := bits.OnesCount64(mask); size >= T && g.IsKPlexMask(mask, k) {
-			atLeast++
-			if size == T {
-				exactly++
-			}
-		}
-	}
-	return exactly, atLeast
 }

@@ -28,22 +28,6 @@ func TestIsKPlexExample(t *testing.T) {
 	}
 }
 
-func TestKPlexEqualsComplementKCplex(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 50; trial++ {
-		g := Gnp(8, 0.5, rng.Int63())
-		c := g.Complement()
-		for mask := uint64(0); mask < 256; mask++ {
-			set := MaskSubset(mask, 8)
-			for k := 1; k <= 3; k++ {
-				if g.IsKPlex(set, k) != c.IsKCplex(set, k) {
-					t.Fatalf("k-plex/k-cplex duality broken: set=%v k=%d", set, k)
-				}
-			}
-		}
-	}
-}
-
 func TestKPlexHereditaryNotGuaranteed(t *testing.T) {
 	// k-plexes ARE hereditary: any subset of a k-plex is a k-plex
 	// (removing vertices cannot increase the deficit |P|-k-d). Verify on
@@ -63,34 +47,5 @@ func TestKPlexHereditaryNotGuaranteed(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-func TestCountKPlexesExample(t *testing.T) {
-	g := Example6()
-	exactly, atLeast := g.CountKPlexesOfSize(2, 4)
-	if exactly != 1 || atLeast != 1 {
-		t.Errorf("CountKPlexesOfSize(2,4) = (%d,%d), want (1,1)", exactly, atLeast)
-	}
-	// No 2-plex of size 5 or 6 exists.
-	if _, ge := g.CountKPlexesOfSize(2, 5); ge != 0 {
-		t.Errorf("found %d 2-plexes of size ≥ 5, want 0", ge)
-	}
-	// Every subset of size ≤ 2 is a 2-plex: C(6,0)+C(6,1)+C(6,2)=22 of
-	// size ≤ 2, so atLeast for T=0 counts all 2-plexes.
-	_, all := g.CountKPlexesOfSize(2, 0)
-	if all < 22 {
-		t.Errorf("total 2-plex count %d is below the trivial floor 22", all)
-	}
-}
-
-func TestIsKPlexMask(t *testing.T) {
-	g := Example6()
-	// {v1,v2,v4,v5} = |110110> = 32+16+4+2 = 54.
-	if !g.IsKPlexMask(54, 2) {
-		t.Error("mask 54 should be the max 2-plex")
-	}
-	if g.IsKPlexMask(63, 2) {
-		t.Error("full vertex set should not be a 2-plex")
 	}
 }

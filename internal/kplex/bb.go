@@ -1,4 +1,4 @@
-package fastoracle
+package kplex
 
 import (
 	"context"
@@ -6,41 +6,9 @@ import (
 	"sort"
 
 	"repro/internal/bitvec"
+	"repro/internal/graph"
 	"repro/internal/parallel"
 )
-
-// BBResult is the outcome of a BranchBound run. Nodes is the number of
-// search-tree nodes visited — a deterministic, machine-independent cost
-// measure: the subtree tasks and the wave schedule are fixed by the
-// instance and the branch order alone, and the incumbent each task prunes
-// against is frozen per wave, so the same instance always produces the
-// same count at any worker count.
-type BBResult struct {
-	Size  int
-	Set   []int // sorted members of a maximum k-plex
-	Nodes int64
-}
-
-// BBOptions tunes a BranchBound run. Order is required; Seed and
-// MinSize default to no incumbent and no size floor.
-type BBOptions struct {
-	// Seed is an optional incumbent witness (e.g. a greedy solution). It
-	// is adopted only if it verifies as a k-plex; a stronger incumbent
-	// tightens every prune from the first node.
-	Seed []int
-	// MinSize is an incumbent size floor certified elsewhere (e.g. a
-	// bound established on another component of a kernelized instance):
-	// the search only reports sets strictly larger. When nothing beats
-	// it, Size == MinSize and Set is empty — the caller holds the
-	// witness.
-	MinSize int
-	// Order is the branch order, a permutation of the vertices; anything
-	// else, nil included, panics. Callers pass reduce.DegeneracyOrder of
-	// the instance (or its restriction to a component): low-core vertices
-	// root subtrees that prune immediately, and the dense residue is
-	// branched last, when the incumbent is strong.
-	Order []int
-}
 
 // bbWaveSize is the number of root subtree tasks per wave. The wave
 // schedule is part of the result's determinism contract: task boundaries
@@ -52,18 +20,51 @@ type BBOptions struct {
 // stale.
 const bbWaveSize = 64
 
-// BranchBound solves maximum k-plex exactly by deterministic
-// branch-and-bound over the multi-word complement rows — the classical
-// engine past what the circuit simulator (n ≤ gate cap) or the exhaustive
-// Table (n ≤ TableMaxVertices) can sweep. It enumerates k-plexes by the
-// hereditary property (every subset of a k-plex is a k-plex, so each
-// k-plex is reachable by adding vertices one at a time through k-plex
-// intermediates) and prunes with two bounds — the trivial
+// bbGraph is the instance as the search reads it: the vertex count, k,
+// and every vertex's complement row as a natural-order bit vector (bit u
+// set iff {v,u} is a complement edge; no self bit), packed into as many
+// words as n needs.
+type bbGraph struct {
+	n, k    int
+	compVec []*bitvec.Vector
+}
+
+// newBBGraph builds the complement rows of g for plex parameter k.
+func newBBGraph(g *graph.Graph, k int) *bbGraph {
+	n := g.N()
+	e := &bbGraph{n: n, k: k, compVec: make([]*bitvec.Vector, n)}
+	for v := 0; v < n; v++ {
+		// Complement row = all vertices minus v itself minus g-neighbours.
+		row := bitvec.New(n)
+		row.SetAll()
+		row.Set(v, false)
+		row.AndNot(g.NeighborVec(v))
+		e.compVec[v] = row
+	}
+	return e
+}
+
+// branchBound is the engine behind BBOpt: it solves maximum k-plex on g
+// (n ≥ 1, 1 ≤ k ≤ n) exactly by deterministic branch-and-bound over
+// multi-word complement rows, at any vertex count. It enumerates
+// k-plexes by the hereditary property (every subset of a k-plex is a
+// k-plex, so each k-plex is reachable by adding vertices one at a time
+// through k-plex intermediates) and prunes with two bounds — the trivial
 // |P| + |feasible| and the partition bound of KPLEX (Jiang et al., IJCAI
 // 2021): member u tolerates at most k-1-cdeg(u) more complement
 // neighbours, so each feasible candidate is charged to one member it is
 // not adjacent to, and the excess of every member's group over that
 // budget must stay out (see partitionBound).
+//
+// order is the branch order, a permutation of the vertices; anything
+// else panics. BBOpt passes reduce.DegeneracyOrder of the part it
+// searches: low-core vertices root subtrees that prune immediately, and
+// the dense residue is branched last, when the incumbent is strong.
+// minSize is an incumbent size certified elsewhere (the greedy witness
+// or an earlier part's answer, which the caller holds): the search only
+// reports sets strictly larger. When nothing beats it, Size == minSize
+// and Set is empty. Below 1 the floor is a single vertex, which is
+// always a k-plex.
 //
 // The search is decomposed for the worker pool without giving up
 // determinism. K-plexes of size ≥ 2 partition by their first two members
@@ -78,7 +79,8 @@ const bbWaveSize = 64
 // merge in task order (first strict improvement wins). Which worker runs
 // a task never affects what the task computes, so Size, Set and Nodes are
 // bit-identical at any REPRO_WORKERS setting — the serial path is simply
-// the same schedule on one worker.
+// the same schedule on one worker. Nodes counts the search-tree nodes
+// visited, the implicit root included.
 //
 // Cancellation and deadline are polled once per wave — between waves
 // every worker has joined, so stopping there abandons no goroutine and
@@ -86,23 +88,15 @@ const bbWaveSize = 64
 // completed waves comes back (the same Size/Set/Nodes a serial run
 // stopped at that wave would report) alongside an error wrapping
 // ctx.Err(); the result is only guaranteed optimal when the error is nil.
-func (e *Evaluator) BranchBound(ctx context.Context, opt BBOptions) (BBResult, error) {
-	order := opt.Order
+func branchBound(ctx context.Context, g *graph.Graph, k int, order []int, minSize int) (Result, error) {
+	e := newBBGraph(g, k)
 	if !validPermutation(order, e.n) {
-		panic(fmt.Sprintf("fastoracle: BBOptions.Order is not a permutation of [0,%d)", e.n))
+		panic(fmt.Sprintf("kplex: branch order is not a permutation of [0,%d)", e.n))
 	}
-	best := 0
+	// A size floor without a witness: only strict improvements are
+	// reported, so the set stays empty until something beats the floor.
+	best := minSize
 	var bestSet []int
-	if len(opt.Seed) > 0 && e.KPlexSet(opt.Seed) {
-		best = len(opt.Seed)
-		bestSet = append([]int(nil), opt.Seed...)
-	}
-	if opt.MinSize > best {
-		// A size floor without a witness: only strict improvements are
-		// reported, so the set empties until something beats the floor.
-		best = opt.MinSize
-		bestSet = nil
-	}
 	if best < 1 {
 		// Any single vertex is a k-plex (deg 0 ≥ 1-k), so the search over
 		// pair-rooted subtrees below only needs to beat size 1.
@@ -113,15 +107,15 @@ func (e *Evaluator) BranchBound(ctx context.Context, opt BBOptions) (BBResult, e
 	tasks := e.rootTasks(order)
 	later := laterSets(order)
 	results := make([]bbTaskResult, bbWaveSize)
-	finish := func() BBResult {
+	finish := func() Result {
 		out := append([]int(nil), bestSet...)
 		sort.Ints(out)
-		return BBResult{Size: best, Set: out, Nodes: nodes}
+		return Result{Size: best, Set: out, Nodes: nodes}
 	}
 	//ctx:boundary round
 	for lo := 0; lo < len(tasks); lo += bbWaveSize {
 		if err := ctx.Err(); err != nil {
-			return finish(), fmt.Errorf("fastoracle: branch-and-bound canceled after %d of %d root tasks: %w",
+			return finish(), fmt.Errorf("kplex: branch-and-bound canceled after %d of %d root tasks: %w",
 				lo, len(tasks), err)
 		}
 		hi := lo + bbWaveSize
@@ -168,7 +162,7 @@ type bbTaskResult struct {
 // their branch-order positions. A pair {u, v} is a k-plex unless the two
 // are complement-adjacent (each then carries one complement neighbour)
 // and k = 1.
-func (e *Evaluator) rootTasks(order []int) []bbTask {
+func (e *bbGraph) rootTasks(order []int) []bbTask {
 	var tasks []bbTask
 	for i := 0; i < e.n; i++ {
 		for j := i + 1; j < e.n; j++ {
@@ -243,7 +237,7 @@ func validPermutation(order []int, n int) bool {
 // Per-depth candidate buffers and the bounds' scratch (root, both, room,
 // open) make a search node allocation-free after warm-up.
 type bbState struct {
-	e       *Evaluator
+	e       *bbGraph
 	pList   []int
 	cdeg    []int
 	inP     *bitvec.Vector
@@ -261,7 +255,7 @@ type bbState struct {
 }
 
 // newBBState returns a clean search frame for e.
-func newBBState(e *Evaluator) *bbState {
+func newBBState(e *bbGraph) *bbState {
 	return &bbState{
 		e:    e,
 		cdeg: make([]int, e.n),

@@ -1,4 +1,4 @@
-package fastoracle
+package kplex
 
 import (
 	"context"
@@ -43,26 +43,22 @@ func (c *countdownCtx) Err() error {
 func TestBranchBoundCancelMidWave(t *testing.T) {
 	defer parallel.SetWorkers(parallel.SetWorkers(4))
 	g := graph.Gnm(40, 200, 7)
-	e, err := New(g, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
 	order, _ := reduce.DegeneracyOrder(g)
-	full, err := e.BranchBound(context.Background(), BBOptions{Order: order})
+	full, err := branchBound(context.Background(), g, 2, order, 0)
 	if err != nil {
 		t.Fatalf("uncanceled run errored: %v", err)
 	}
 
 	baseline := runtime.NumGoroutine()
 	ctx := newCountdownCtx(3)
-	res, err := e.BranchBound(ctx, BBOptions{Order: order})
+	res, err := branchBound(ctx, g, 2, order, 0)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("mid-wave cancel returned %v, want context.Canceled in the chain", err)
 	}
 	if !strings.Contains(err.Error(), "root tasks") {
 		t.Errorf("error does not report wave progress: %v", err)
 	}
-	if len(res.Set) == 0 || !e.KPlexSet(res.Set) {
+	if len(res.Set) == 0 || !g.IsKPlex(res.Set, 2) {
 		t.Errorf("partial result %v is not a verified k-plex", res.Set)
 	}
 	if res.Size != len(res.Set) {
@@ -86,26 +82,29 @@ func TestBranchBoundCancelMidWave(t *testing.T) {
 }
 
 // TestBranchBoundPreCanceled: a context canceled before the first
-// wave still returns the preamble incumbent — the seed when it
-// verifies, else a single vertex — with the cancellation error.
+// wave still returns the preamble incumbent — the size floor when one is
+// given (with an empty set: the caller holds that witness), else a
+// single vertex — with the cancellation error.
 func TestBranchBoundPreCanceled(t *testing.T) {
 	g := graph.Gnm(20, 60, 3)
-	e, err := New(g, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	seed := []int{0, 1} // any pair is a 2-plex: each member tolerates one non-neighbour
 	order, _ := reduce.DegeneracyOrder(g)
-	res, err := e.BranchBound(ctx, BBOptions{Seed: seed, Order: order})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("pre-canceled run returned %v, want context.Canceled in the chain", err)
-	}
-	if res.Size != len(seed) {
-		t.Errorf("pre-canceled run reports size %d, want the seed's %d", res.Size, len(seed))
-	}
-	if res.Nodes != 1 {
-		t.Errorf("pre-canceled run accounts %d nodes, want the implicit root only", res.Nodes)
+	for _, floor := range []int{0, 2} {
+		res, err := branchBound(ctx, g, 2, order, floor)
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("floor %d: pre-canceled run returned %v, want context.Canceled in the chain", floor, err)
+		}
+		wantSize, wantSet := floor, 0
+		if floor == 0 {
+			wantSize, wantSet = 1, 1
+		}
+		if res.Size != wantSize || len(res.Set) != wantSet {
+			t.Errorf("floor %d: pre-canceled run reports size %d set %v, want size %d with %d members",
+				floor, res.Size, res.Set, wantSize, wantSet)
+		}
+		if res.Nodes != 1 {
+			t.Errorf("floor %d: pre-canceled run accounts %d nodes, want the implicit root only", floor, res.Nodes)
+		}
 	}
 }

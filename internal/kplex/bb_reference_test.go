@@ -1,4 +1,4 @@
-package fastoracle
+package kplex
 
 import (
 	"context"
@@ -13,24 +13,15 @@ import (
 	"repro/internal/reduce"
 )
 
-// branchBoundReference is BranchBound as it was before the root-task
+// branchBoundReference is the engine as it was before the root-task
 // bound and the partition bound, kept verbatim as the reference the
 // faster search must reproduce: the same wave schedule and frozen
 // incumbents, every root task searched from its added pair, and the
 // single-member excess bound. Size and Set must match it exactly; Nodes
 // may only fall.
-func (e *Evaluator) branchBoundReference(opt BBOptions) BBResult {
-	order := opt.Order
-	best := 0
+func (e *bbGraph) branchBoundReference(order []int, minSize int) Result {
+	best := minSize
 	var bestSet []int
-	if len(opt.Seed) > 0 && e.KPlexSet(opt.Seed) {
-		best = len(opt.Seed)
-		bestSet = append([]int(nil), opt.Seed...)
-	}
-	if opt.MinSize > best {
-		best = opt.MinSize
-		bestSet = nil
-	}
 	if best < 1 {
 		best = 1
 		bestSet = []int{order[0]}
@@ -62,7 +53,7 @@ func (e *Evaluator) branchBoundReference(opt BBOptions) BBResult {
 	}
 	out := append([]int(nil), bestSet...)
 	sort.Ints(out)
-	return BBResult{Size: best, Set: out, Nodes: nodes}
+	return Result{Size: best, Set: out, Nodes: nodes}
 }
 
 func (b *bbState) runTaskReference(order []int, t bbTask, frozen int) bbTaskResult {
@@ -114,41 +105,33 @@ func (b *bbState) searchReference(cand []int) {
 	b.depth--
 }
 
-// checkMatchesReference runs BranchBound at 1 and 8 workers under four
-// incumbent settings (none, a seed witness, a size floor, both) and
-// holds each run to the reference: equal Size and Set, Nodes never
-// above it.
+// checkMatchesReference runs branchBound at 1 and 8 workers under four
+// size floors (none, two drawn within two of the optimum, and their
+// maximum) and holds each run to the reference: equal Size and Set,
+// Nodes never above it.
 func checkMatchesReference(t *testing.T, name string, g *graph.Graph, k int, rng *rand.Rand) {
 	t.Helper()
-	e, err := New(g, k)
-	if err != nil {
-		t.Fatal(err)
-	}
+	e := newBBGraph(g, k)
 	order, _ := reduce.DegeneracyOrder(g)
-	opt := e.branchBoundReference(BBOptions{Order: order})
-	// Incumbents within two of the optimum, as a greedy seed or a
+	opt := e.branchBoundReference(order, 0)
+	// Floors within two of the optimum, as a greedy witness or a
 	// neighbouring component's size would be; a weaker one prunes like
 	// none at all.
-	seed := opt.Set[:max(len(opt.Set)-rng.Intn(3), 0)]
-	floor := max(opt.Size-rng.Intn(3), 0)
-	for _, o := range []BBOptions{
-		{Order: order},
-		{Order: order, Seed: seed},
-		{Order: order, MinSize: floor},
-		{Order: order, Seed: seed, MinSize: floor},
-	} {
+	lo := max(len(opt.Set)-rng.Intn(3), 0)
+	hi := max(opt.Size-rng.Intn(3), 0)
+	for _, floor := range []int{0, lo, hi, max(lo, hi)} {
 		want := opt
-		if o.Seed != nil || o.MinSize != 0 {
-			want = e.branchBoundReference(o)
+		if floor != 0 {
+			want = e.branchBoundReference(order, floor)
 		}
 		for _, w := range []int{1, 8} {
 			prev := parallel.SetWorkers(w)
-			got, err := e.BranchBound(context.Background(), o)
+			got, err := branchBound(context.Background(), g, k, order, floor)
 			parallel.SetWorkers(prev)
 			if err != nil {
 				t.Fatal(err)
 			}
-			where := fmt.Sprintf("%s k=%d seed=%d floor=%d workers=%d", name, k, len(o.Seed), o.MinSize, w)
+			where := fmt.Sprintf("%s k=%d floor=%d workers=%d", name, k, floor, w)
 			if got.Size != want.Size || fmt.Sprint(got.Set) != fmt.Sprint(want.Set) {
 				t.Fatalf("%s: got size %d set %v, reference size %d set %v",
 					where, got.Size, got.Set, want.Size, want.Set)

@@ -1,35 +1,34 @@
-package fastoracle
+package kplex
 
 import (
 	"context"
-	"math/bits"
+	"fmt"
 	"math/rand"
 	"testing"
 
+	"repro/internal/fastoracle"
 	"repro/internal/graph"
 	"repro/internal/parallel"
 	"repro/internal/reduce"
 )
 
-// branchBound runs BranchBound to completion over g's degeneracy order,
-// the order every production caller passes, unless opt names another.
-func branchBound(tb testing.TB, e *Evaluator, g *graph.Graph, opt BBOptions) BBResult {
+// solveBB runs branchBound to completion over g's degeneracy order, the
+// order BBOpt passes, with size floor minSize.
+func solveBB(tb testing.TB, g *graph.Graph, k, minSize int) Result {
 	tb.Helper()
-	if opt.Order == nil {
-		opt.Order, _ = reduce.DegeneracyOrder(g)
-	}
-	res, err := e.BranchBound(context.Background(), opt)
+	order, _ := reduce.DegeneracyOrder(g)
+	res, err := branchBound(context.Background(), g, k, order, minSize)
 	if err != nil {
 		tb.Fatal(err)
 	}
 	return res
 }
 
-// degeneracyOrderReference is the branch order BranchBound used to
+// degeneracyOrderReference is the branch order the engine used to
 // compute for itself: repeated minimum-degree removal (ties by lowest
 // index) reconstructed from the complement rows (deg(v) = n-1-cdeg(v)).
 // Kept verbatim as the reference reduce.DegeneracyOrder must reproduce.
-func (e *Evaluator) degeneracyOrderReference() []int {
+func (e *bbGraph) degeneracyOrderReference() []int {
 	n := e.n
 	removed := make([]bool, n)
 	deg := make([]int, n)
@@ -56,7 +55,7 @@ func (e *Evaluator) degeneracyOrderReference() []int {
 	return order
 }
 
-// The one degeneracy peel in reduce must hand BranchBound exactly the
+// The one degeneracy peel in reduce must hand the engine exactly the
 // order its retired private peel computed, so node counts and witnesses
 // are unchanged.
 func TestDegeneracyOrderMatchesReference(t *testing.T) {
@@ -64,11 +63,7 @@ func TestDegeneracyOrderMatchesReference(t *testing.T) {
 	for trial := 0; trial < 300; trial++ {
 		n := 1 + rng.Intn(150)
 		g := graph.Gnp(n, rng.Float64(), rng.Int63())
-		e, err := New(g, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := e.degeneracyOrderReference()
+		want := newBBGraph(g, 1).degeneracyOrderReference()
 		got, _ := reduce.DegeneracyOrder(g)
 		for i := range want {
 			if got[i] != want[i] {
@@ -79,18 +74,8 @@ func TestDegeneracyOrderMatchesReference(t *testing.T) {
 	}
 }
 
-// bruteMax sweeps all 2^n masks for the maximum k-plex size — the ground
-// truth BranchBound must reproduce.
-func bruteMax(e *Evaluator) int {
-	best := 0
-	for mask := uint64(0); mask < 1<<uint(e.n); mask++ {
-		if s := bits.OnesCount64(mask); s > best && e.KPlexMask(mask) {
-			best = s
-		}
-	}
-	return best
-}
-
+// Naive's exhaustive mask sweep is the ground truth the engine must
+// reproduce.
 func TestBranchBoundMatchesBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(56))
 	for trial := 0; trial < 25; trial++ {
@@ -100,14 +85,13 @@ func TestBranchBoundMatchesBruteForce(t *testing.T) {
 		if k > n {
 			k = n
 		}
-		e, err := New(g, k)
+		want, err := Naive(g, k)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := bruteMax(e)
-		res := branchBound(t, e, g, BBOptions{})
-		if res.Size != want {
-			t.Fatalf("n=%d k=%d: BranchBound=%d, brute force says %d", n, k, res.Size, want)
+		res := solveBB(t, g, k, 0)
+		if res.Size != want.Size {
+			t.Fatalf("n=%d k=%d: branchBound=%d, brute force says %d", n, k, res.Size, want.Size)
 		}
 		if len(res.Set) != res.Size {
 			t.Fatalf("n=%d k=%d: |Set|=%d != Size=%d", n, k, len(res.Set), res.Size)
@@ -118,43 +102,10 @@ func TestBranchBoundMatchesBruteForce(t *testing.T) {
 	}
 }
 
-func TestBranchBoundSeed(t *testing.T) {
-	g := graph.Gnm(14, 40, 11)
-	e, err := New(g, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := bruteMax(e)
-	// A valid optimal seed: the search must return it (or an equal-size
-	// set), never something smaller.
-	opt := branchBound(t, e, g, BBOptions{})
-	seeded := branchBound(t, e, g, BBOptions{Seed: opt.Set})
-	if seeded.Size != want {
-		t.Fatalf("optimal seed degraded the answer: %d, want %d", seeded.Size, want)
-	}
-	// An invalid seed (not a k-plex) is ignored, not trusted.
-	bad := []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13}
-	if g.IsKPlex(bad, 2) {
-		t.Skip("random instance made the full vertex set a 2-plex; pick a new seed")
-	}
-	fromBad := branchBound(t, e, g, BBOptions{Seed: bad})
-	if fromBad.Size != want {
-		t.Fatalf("invalid seed corrupted the answer: %d, want %d", fromBad.Size, want)
-	}
-	// A stronger incumbent can only prune more: same answer, no more nodes.
-	if seeded.Nodes > opt.Nodes {
-		t.Fatalf("optimal seed visited more nodes (%d) than unseeded (%d)", seeded.Nodes, opt.Nodes)
-	}
-}
-
 func TestBranchBoundDeterministic(t *testing.T) {
 	g := graph.Gnm(18, 60, 13)
-	e, err := New(g, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a := branchBound(t, e, g, BBOptions{})
-	b := branchBound(t, e, g, BBOptions{})
+	a := solveBB(t, g, 3, 0)
+	b := solveBB(t, g, 3, 0)
 	if a.Size != b.Size || a.Nodes != b.Nodes || len(a.Set) != len(b.Set) {
 		t.Fatalf("two identical runs disagree: %+v vs %+v", a, b)
 	}
@@ -165,23 +116,16 @@ func TestBranchBoundDeterministic(t *testing.T) {
 	}
 }
 
-// The multi-word regime: BranchBound past 64 vertices, where no mask
-// surface exists at all — the whole point of the compVec representation.
+// The multi-word regime: the engine past 64 vertices, where no one-word
+// mask exists at all.
 func TestBranchBoundMultiWord(t *testing.T) {
 	g := graph.Gnm(80, 240, 17)
-	e, err := New(g, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := branchBound(t, e, g, BBOptions{})
+	res := solveBB(t, g, 2, 0)
 	if res.Size < 2 {
 		t.Fatalf("Size=%d; any adjacent pair (or k singletons) beats this", res.Size)
 	}
 	if !g.IsKPlex(res.Set, 2) {
 		t.Fatalf("returned set %v is not a 2-plex", res.Set)
-	}
-	if !e.KPlexVec(graph.SubsetVec(res.Set, 80)) {
-		t.Fatal("KPlexVec disagrees with IsKPlex on the winner")
 	}
 	// A maximum k-plex must also be maximal: no vertex extends it.
 	in := make(map[int]bool, len(res.Set))
@@ -192,7 +136,7 @@ func TestBranchBoundMultiWord(t *testing.T) {
 		if in[v] {
 			continue
 		}
-		if e.KPlexSet(append(append([]int(nil), res.Set...), v)) {
+		if g.IsKPlex(append(append([]int(nil), res.Set...), v), 2) {
 			t.Fatalf("vertex %d extends the reported maximum", v)
 		}
 	}
@@ -208,14 +152,10 @@ func TestBranchBoundWorkerInvariance(t *testing.T) {
 		n := 30 + rng.Intn(70)
 		g := graph.Gnm(n, n*(2+rng.Intn(4)), rng.Int63())
 		k := 1 + rng.Intn(3)
-		e, err := New(g, k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var base BBResult
+		var base Result
 		for i, w := range []int{1, 2, 8} {
 			prev := parallel.SetWorkers(w)
-			res := branchBound(t, e, g, BBOptions{})
+			res := solveBB(t, g, k, 0)
 			parallel.SetWorkers(prev)
 			if i == 0 {
 				base = res
@@ -234,18 +174,14 @@ func TestBranchBoundWorkerInvariance(t *testing.T) {
 	}
 }
 
-// A MinSize floor prunes like an incumbent but is never reported as a
+// A minSize floor prunes like an incumbent but is never reported as a
 // witness: below-floor instances come back with the floor size and an
 // empty set, above-floor instances report the true optimum.
 func TestBranchBoundMinSize(t *testing.T) {
 	g := graph.Gnm(20, 60, 3)
-	e, err := New(g, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opt := branchBound(t, e, g, BBOptions{})
+	opt := solveBB(t, g, 2, 0)
 	// Floor below the optimum: same answer, no more nodes than unfloored.
-	under := branchBound(t, e, g, BBOptions{MinSize: opt.Size - 1})
+	under := solveBB(t, g, 2, opt.Size-1)
 	if under.Size != opt.Size || !g.IsKPlex(under.Set, 2) {
 		t.Fatalf("floor %d changed the answer: %+v vs %+v", opt.Size-1, under, opt)
 	}
@@ -253,9 +189,49 @@ func TestBranchBoundMinSize(t *testing.T) {
 		t.Fatalf("floor pruned less than no floor: %d > %d nodes", under.Nodes, opt.Nodes)
 	}
 	// Floor at the optimum: nothing strictly better exists, empty witness.
-	at := branchBound(t, e, g, BBOptions{MinSize: opt.Size})
+	at := solveBB(t, g, 2, opt.Size)
 	if at.Size != opt.Size || len(at.Set) != 0 {
 		t.Fatalf("floor at the optimum should report (size=%d, empty set), got %+v", opt.Size, at)
+	}
+}
+
+// The engine's incumbent is a seed witness passed as its size: BBOpt
+// hands it the greedy witness's size and keeps the witness itself. An
+// optimal seed must keep the answer, a stronger seed can only prune
+// more, and the greedy seed through BBOpt never degrades the optimum.
+func TestBranchBoundSeed(t *testing.T) {
+	g := graph.Gnm(14, 40, 11)
+	want, err := Naive(g, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := solveBB(t, g, 2, 0)
+	if opt.Size != want.Size {
+		t.Fatalf("unseeded search found %d, brute force says %d", opt.Size, want.Size)
+	}
+	prev := opt
+	for seed := 1; seed <= want.Size; seed++ {
+		res := solveBB(t, g, 2, seed)
+		if res.Size != want.Size {
+			t.Fatalf("seed of size %d degraded the answer: %d, want %d", seed, res.Size, want.Size)
+		}
+		if res.Nodes > prev.Nodes {
+			t.Fatalf("seed of size %d visited more nodes (%d) than size %d (%d)",
+				seed, res.Nodes, seed-1, prev.Nodes)
+		}
+		prev = res
+	}
+	// The optimal seed leaves nothing strictly better: the engine reports
+	// the seed's size with an empty set, so the caller's witness stands.
+	if len(prev.Set) != 0 {
+		t.Fatalf("optimal seed should leave the witness to the caller, got %v", prev.Set)
+	}
+	res, err := BBOpt(context.Background(), g, 2, BBOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Size != want.Size || len(res.Set) != res.Size || !g.IsKPlex(res.Set, 2) {
+		t.Fatalf("greedy-seeded BBOpt returned %+v, want a %d-vertex 2-plex", res, want.Size)
 	}
 }
 
@@ -263,26 +239,26 @@ func TestBranchBoundMinSize(t *testing.T) {
 // and a missing order or a non-permutation must be rejected loudly.
 func TestBranchBoundOrderOption(t *testing.T) {
 	g := graph.Gnm(24, 90, 5)
-	e, err := New(g, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := branchBound(t, e, g, BBOptions{}).Size
+	want := solveBB(t, g, 2, 0).Size
 	rev := make([]int, 24)
 	for i := range rev {
 		rev[i] = 23 - i
 	}
-	if got := branchBound(t, e, g, BBOptions{Order: rev}).Size; got != want {
-		t.Fatalf("reversed order changed the answer: %d, want %d", got, want)
+	got, err := branchBound(context.Background(), g, 2, rev, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Size != want {
+		t.Fatalf("reversed order changed the answer: %d, want %d", got.Size, want)
 	}
 	for _, order := range [][]int{nil, {0, 0, 1}} {
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Errorf("Order %v did not panic", order)
+					t.Errorf("order %v did not panic", order)
 				}
 			}()
-			_, _ = e.BranchBound(context.Background(), BBOptions{Order: order})
+			_, _ = branchBound(context.Background(), g, 2, order, 0)
 		}()
 	}
 }
@@ -311,11 +287,7 @@ func TestFeasibleMatchesReferenceScan(t *testing.T) {
 		n := 10 + rng.Intn(50)
 		g := graph.Gnm(n, n*2, rng.Int63())
 		k := 1 + rng.Intn(3)
-		e, err := New(g, k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b := newBBState(e)
+		b := newBBState(newBBGraph(g, k))
 		for step := 0; step < n; step++ {
 			for v := 0; v < n; v++ {
 				if b.inP.Get(v) {
@@ -346,11 +318,7 @@ func TestFeasibleMatchesReferenceScan(t *testing.T) {
 // plex, via the old member-list rescan vs the saturated-member bitvec.
 // benchjson pairs the reference/bitset variants into a speedup entry.
 func BenchmarkBBFeasible(b *testing.B) {
-	g := graph.Gnm(96, 380, 21)
-	e, err := New(g, 2)
-	if err != nil {
-		b.Fatal(err)
-	}
+	e := newBBGraph(graph.Gnm(96, 380, 21), 2)
 	st := newBBState(e)
 	// Grow a maximal plex so the member list (and its saturated subset)
 	// is as large as the instance allows.
@@ -378,6 +346,50 @@ func BenchmarkBBFeasible(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			for v := 0; v < e.n; v++ {
 				st.feasible(v)
+			}
+		}
+	})
+}
+
+// BenchmarkStoreCrossover times the two ways of answering "what is the
+// maximum k-plex size" as n grows: the gate path's exhaustive
+// fastoracle Table sweep (2^n semantic evaluations, parallel) against
+// branch-and-bound (pruned search). The Table wins only while 2^n is
+// small; it stays the gate path's cache because one sweep serves every
+// probe of a request, while a single maximum query is cheaper by search.
+func BenchmarkStoreCrossover(b *testing.B) {
+	for _, n := range []int{12, 16, 20, 24} {
+		g := graph.Gnm(n, 3*n, 21)
+		e, err := fastoracle.New(g, 2)
+		if err != nil {
+			b.Fatal(err)
+		}
+		want := solveBB(b, g, 2, 0).Size
+		b.Run(fmt.Sprintf("table/n=%d", n), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				tab, terr := e.Table()
+				if terr != nil {
+					b.Fatal(terr)
+				}
+				if tab.MaxPlexSize() != want {
+					b.Fatal("table disagrees with branch-and-bound")
+				}
+			}
+		})
+		b.Run(fmt.Sprintf("bb/n=%d", n), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if solveBB(b, g, 2, 0).Size != want {
+					b.Fatal("branch-and-bound became inconsistent")
+				}
+			}
+		})
+	}
+	// Past the one-word wall only the branch-and-bound exists.
+	g := graph.Gnm(100, 300, 7)
+	b.Run("bb/n=100", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if solveBB(b, g, 2, 0).Size < 2 {
+				b.Fatal("implausible maximum on the 100-vertex instance")
 			}
 		}
 	})

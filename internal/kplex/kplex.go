@@ -1,8 +1,10 @@
 // Package kplex provides the classical side of the reproduction: an exact
 // naive O*(2^n) enumerator, a branch-and-search exact solver in the style
 // of the paper's BS baseline (Xiao et al. 2017), the exact
-// kernelize-then-search entry point BBOpt, and greedy / local-search
-// heuristics used for lower bounds and for seeding reductions.
+// kernelize-then-search entry point BBOpt with its deterministic
+// wave-parallel branch-and-bound engine (bb.go), and greedy /
+// local-search heuristics used for lower bounds and for seeding
+// reductions.
 package kplex
 
 import (
@@ -29,7 +31,7 @@ var ErrCanceled = errors.New("kplex: search canceled")
 type Result struct {
 	Set   []int // a maximum k-plex (sorted)
 	Size  int
-	Nodes int64 // search-tree nodes expanded (BS) or masks scanned (naive)
+	Nodes int64 // search-tree nodes expanded (BS, BBOpt) or masks scanned (naive)
 }
 
 // NaiveMaxVertices is the largest instance Naive scans.
@@ -95,8 +97,8 @@ type bsState struct {
 // runs over the member list and neighbour lists, so a membership test
 // costs O(|P|), an add or remove O(deg(v)), and a search node allocates
 // nothing once the per-depth candidate buffers are warm. It shares no
-// code with fastoracle, so it stays an independent reference for the
-// exact path.
+// code with the engine behind BBOpt (bb.go), so it stays an independent
+// reference for the exact path.
 func BS(g *graph.Graph, k int) (Result, error) {
 	if k < 1 {
 		return Result{}, fmt.Errorf("kplex: k=%d must be ≥ 1", k)
@@ -206,12 +208,14 @@ func (st *bsState) search(cand []int) {
 type BBOptions struct {
 	// Obs carries the observability subsystem: a kplex.bb span over the
 	// solve, reduce.peeled / reduce.kernel_n / fastoracle.bb.nodes
-	// counters attributing the kernelization and search work. The zero
-	// value is inert.
+	// counters attributing the kernelization and search work (the search
+	// counter keeps its fastoracle.bb.nodes name because the service
+	// benchmark reads it from /debug/vars). The zero value is inert.
 	Obs obs.Obs
 	// DisableKernel skips the reduction pass and runs branch-and-bound on
-	// the raw graph — the A/B baseline for the kernel-shrink benchmarks
-	// and the differential tests. Same answers, more nodes.
+	// the raw graph, searched whole even when the greedy witness already
+	// covers it — the A/B baseline for the kernel-shrink benchmarks and
+	// the differential tests. Same answers, more nodes.
 	DisableKernel bool
 }
 
@@ -223,12 +227,12 @@ func BB(g *graph.Graph, k int) (Result, error) {
 // BBOpt is the exact classical entry point. It finds a maximum k-plex
 // with the kernelize-then-search pipeline: greedy lower bound,
 // reduce.Kernelize against it, per-component deterministic wave-parallel
-// fastoracle.BranchBound over the kernel's degeneracy order, answers
-// lifted back to original vertex ids. Works at any vertex count — the
-// engine needs no mask encoding. Nodes is the summed deterministic
-// search cost, identical at any worker count. Cancellation and deadline
-// are honoured at wave boundaries of the branch-and-bound; on
-// cancellation the best incumbent found so far (never worse than the
+// branch-and-bound (branchBound, bb.go) over the kernel's degeneracy
+// order, answers lifted back to original vertex ids. Works at any vertex
+// count — the engine needs no mask encoding. Nodes is the summed
+// deterministic search cost, identical at any worker count. Cancellation
+// and deadline are honoured at wave boundaries of the branch-and-bound;
+// on cancellation the best incumbent found so far (never worse than the
 // greedy seed) comes back alongside an error wrapping ErrCanceled and
 // the context cause.
 func BBOpt(ctx context.Context, g *graph.Graph, k int, opt BBOptions) (Result, error) {
@@ -239,10 +243,7 @@ func BBOpt(ctx context.Context, g *graph.Graph, k int, opt BBOptions) (Result, e
 	if n == 0 {
 		return Result{Nodes: 1}, nil
 	}
-	kEff := k
-	if kEff > n {
-		kEff = n
-	}
+	kEff := min(k, n)
 	mx := opt.Obs.Metrics
 	sp := opt.Obs.Trace.Start("kplex.bb",
 		obs.Int("n", n), obs.Int("k", kEff), obs.Bool("kernel", !opt.DisableKernel))
@@ -265,24 +266,16 @@ func BBOpt(ctx context.Context, g *graph.Graph, k int, opt BBOptions) (Result, e
 		}
 		return r, nil
 	}
+	var kern reduce.Kernel
+	var parts [][]int
 	if opt.DisableKernel {
-		e, err := fastoracle.New(g, kEff)
-		if err != nil {
-			sp.End()
-			return Result{}, fmt.Errorf("kplex: %w", err)
-		}
-		order, _ := reduce.DegeneracyOrder(g)
-		res, cerr := e.BranchBound(ctx, fastoracle.BBOptions{Seed: lb, Order: order})
-		nodes += res.Nodes
-		if res.Size > len(best) {
-			best = res.Set
-			sp.Event("kplex.bb.incumbent", obs.Int("size", len(best)))
-		}
-		if cerr != nil {
-			return finish(cerr)
-		}
+		// The raw reference is the identity kernel: g itself as the one
+		// part, in its own degeneracy order.
+		kern = reduce.Kernel{Sub: g, Map: vertices(n)}
+		kern.Order, _ = reduce.DegeneracyOrder(g)
+		parts = [][]int{kern.Map}
 	} else {
-		kern := reduce.Kernelize(g, kEff, len(lb))
+		kern = reduce.Kernelize(g, kEff, len(lb))
 		mx.Add("reduce.peeled", int64(kern.Stats.Peeled))
 		mx.Add("reduce.kernel_n", int64(kern.Stats.N))
 		sp.Event("kplex.bb.kernel", obs.Int("kernel_n", kern.Stats.N),
@@ -292,53 +285,47 @@ func BBOpt(ctx context.Context, g *graph.Graph, k int, opt BBOptions) (Result, e
 		// searched independently exactly when every improvement over the
 		// bound is that large; otherwise a disconnected optimum could
 		// straddle components and the kernel must be searched whole.
-		var parts [][]int
 		if len(lb)+1 >= 2*kEff-1 {
 			parts = kern.Comps
 		} else if kern.Sub.N() > 0 {
-			all := make([]int, kern.Sub.N())
-			for i := range all {
-				all[i] = i
-			}
-			parts = [][]int{all}
+			parts = [][]int{vertices(kern.Sub.N())}
 		}
-		for _, comp := range parts {
-			// A part can only improve on the incumbent if it is larger.
-			if len(comp) <= len(best) {
-				continue
+	}
+	for _, comp := range parts {
+		// A part can only improve on the incumbent if it is larger. The
+		// raw reference searches its one part regardless, so its node
+		// count stays that of a whole-graph search.
+		if len(comp) <= len(best) && !opt.DisableKernel {
+			continue
+		}
+		sub, ids := kern.Sub.InducedSubgraph(comp)
+		res, cerr := branchBound(ctx, sub, min(kEff, sub.N()), restrictOrder(kern.Order, ids), len(best))
+		nodes += res.Nodes
+		if res.Size > len(best) {
+			// Lift sub ids → kernel ids → original ids.
+			lifted := make([]int, len(res.Set))
+			for i, v := range res.Set {
+				lifted[i] = kern.Map[ids[v]]
 			}
-			sub, ids := kern.Sub.InducedSubgraph(comp)
-			kSub := kEff
-			if kSub > sub.N() {
-				kSub = sub.N()
-			}
-			e, err := fastoracle.New(sub, kSub)
-			if err != nil {
-				sp.End()
-				return Result{}, fmt.Errorf("kplex: %w", err)
-			}
-			res, cerr := e.BranchBound(ctx, fastoracle.BBOptions{
-				MinSize: len(best),
-				Order:   restrictOrder(kern.Order, ids),
-			})
-			nodes += res.Nodes
-			if res.Size > len(best) {
-				// Lift sub ids → kernel ids → original ids.
-				lifted := make([]int, len(res.Set))
-				for i, v := range res.Set {
-					lifted[i] = kern.Map[ids[v]]
-				}
-				best = lifted
-				// Serial merge path: one event per incumbent improvement,
-				// deterministic at any worker count.
-				sp.Event("kplex.bb.incumbent", obs.Int("size", len(best)))
-			}
-			if cerr != nil {
-				return finish(cerr)
-			}
+			best = lifted
+			// Serial merge path: one event per incumbent improvement,
+			// deterministic at any worker count.
+			sp.Event("kplex.bb.incumbent", obs.Int("size", len(best)))
+		}
+		if cerr != nil {
+			return finish(cerr)
 		}
 	}
 	return finish(nil)
+}
+
+// vertices returns the identity list 0..n-1.
+func vertices(n int) []int {
+	all := make([]int, n)
+	for i := range all {
+		all[i] = i
+	}
+	return all
 }
 
 // restrictOrder projects a degeneracy order of the kernel onto one

@@ -36,6 +36,34 @@ var exactWork = []struct {
 	{"planted150", 4, 12, 12, 144, 6},
 }
 
+// rawWork pins the kernel-disabled reference search
+// (BBOptions.DisableKernel): Size and Nodes on every checked-in instance
+// at k = 1..4, where the raw search finishes in about half a second at
+// worst, plus a six-vertex graph that is itself a 2-plex (K6 minus a
+// perfect matching). There the greedy witness is the whole graph, and
+// the raw search still runs its one part — the root node the kernel
+// path's empty kernel skips.
+var rawWork = []struct {
+	file  string // checked-in instance, or "k6-matching"
+	k     int
+	size  int
+	nodes int64
+}{
+	{"gnm100", 1, 3, 8},
+	{"gnm100", 2, 5, 2},
+	{"gnm100", 3, 6, 2668},
+	{"gnm100", 4, 7, 368},
+	{"gnm200", 1, 4, 2},
+	{"gnm200", 2, 5, 195},
+	{"gnm200", 3, 5, 29622},
+	{"gnm200", 4, 6, 241061},
+	{"planted150", 1, 8, 8},
+	{"planted150", 2, 9, 28},
+	{"planted150", 3, 12, 2},
+	{"planted150", 4, 12, 12},
+	{"k6-matching", 2, 6, 2},
+}
+
 // TestExactWorkCountRatchet is the work-count gate of the exact path: a
 // size that changes is a wrong answer, a count that rises is a
 // regression, and a count that falls must be written into the table in
@@ -67,6 +95,31 @@ func TestExactWorkCountRatchet(t *testing.T) {
 				t.Errorf("%s k=%d: %s is %d, the table says %d (more work is a regression; less goes into the table)",
 					w.file, w.k, c.name, c.got, c.want)
 			}
+		}
+	}
+	for _, w := range rawWork {
+		var g *graph.Graph
+		if w.file == "k6-matching" {
+			g = graph.FromEdges(6, [][2]int{
+				{0, 2}, {0, 3}, {0, 4}, {0, 5}, {1, 2}, {1, 3}, {1, 4}, {1, 5},
+				{2, 4}, {2, 5}, {3, 4}, {3, 5},
+			})
+		} else {
+			var err error
+			if g, err = graph.ReadFile("../graph/testdata/" + w.file + ".clq"); err != nil {
+				t.Fatal(err)
+			}
+		}
+		res, err := kplex.BBOpt(context.Background(), g, w.k, kplex.BBOptions{DisableKernel: true})
+		if err != nil {
+			t.Fatalf("raw %s k=%d: %v", w.file, w.k, err)
+		}
+		if res.Size != w.size {
+			t.Errorf("raw %s k=%d: size %d, table says %d", w.file, w.k, res.Size, w.size)
+		}
+		if res.Nodes != w.nodes {
+			t.Errorf("raw %s k=%d: nodes is %d, the table says %d (more work is a regression; less goes into the table)",
+				w.file, w.k, res.Nodes, w.nodes)
 		}
 	}
 }

@@ -129,11 +129,9 @@ func BuildOpts(g *graph.Graph, k, T int, opts Options) (*Oracle, error) {
 		return nil, fmt.Errorf("oracle: T=%d out of range [1,%d]", T, n)
 	}
 	if opts.FastPath && n > 64 {
-		// The fast path answers one-word subset masks; beyond 64 vertices
-		// only the multi-word surface exists (fastoracle.KPlexVec), which
-		// the mask-keyed truth table cannot consume. Refuse up front — the
-		// same "fast path unavailable" contract fastoracle.New enforced
-		// when it still rejected wide graphs at construction.
+		// The fast path answers one-word subset masks, so fastoracle.New
+		// refuses wider graphs. Refuse up front, before the circuit is
+		// compiled.
 		return nil, fmt.Errorf("oracle: fast path unavailable: one-word masks need n ≤ 64, got n=%d", n)
 	}
 	comp := g.Complement()
