@@ -14,6 +14,7 @@ import (
 
 	"repro/internal/anneal"
 	"repro/internal/core"
+	"repro/internal/embedding"
 	"repro/internal/exp"
 	"repro/internal/graph"
 	"repro/internal/grover"
@@ -63,7 +64,7 @@ func BenchmarkFig13(b *testing.B)  { benchExperiment(b, "fig13") }
 // ancilla reset verification).
 func BenchmarkAblationOracleFastPath(b *testing.B) {
 	g := graph.Example6()
-	orc, err := oracle.Build(g, 2, 4)
+	orc, err := oracle.BuildOpts(g, 2, 4, oracle.Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -77,7 +78,7 @@ func BenchmarkAblationOracleFastPath(b *testing.B) {
 
 func BenchmarkAblationOracleStrictPath(b *testing.B) {
 	g := graph.Example6()
-	orc, err := oracle.Build(g, 2, 4)
+	orc, err := oracle.BuildOpts(g, 2, 4, oracle.Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -101,7 +102,7 @@ func BenchmarkAblationAdderCounting(b *testing.B) {
 	gr := g.Build()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		orc, err := oracle.Build(gr, 2, 6)
+		orc, err := oracle.BuildOpts(gr, 2, 6, oracle.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -171,7 +172,8 @@ func BenchmarkAblationAnnealLogical(b *testing.B) {
 	g := exp.AnnealInput(d)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.QAMKP(g, 3, &core.AnnealOptions{Shots: 50, DeltaT: 2, Seed: 1}); err != nil {
+		if _, err := core.SolveAnneal(context.Background(), g, core.Spec{Algo: core.AlgoAnneal, K: 3,
+			Anneal: &core.AnnealOptions{Shots: 50, DeltaT: 2, Seed: 1}}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -185,7 +187,16 @@ func BenchmarkAblationAnnealEmbedded(b *testing.B) {
 	g := exp.AnnealInput(d)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.QAMKP(g, 3, &core.AnnealOptions{Shots: 50, DeltaT: 2, Seed: 1, Embed: true}); err != nil {
+		enc, err := qubo.FormulateMKP(g, 3, 2)
+		if err != nil {
+			b.Fatal(err)
+		}
+		emb, _, err := embedding.EmbedOnHardware(enc.Model, 1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := embedding.SampleEmbedded(context.Background(), enc.Model, emb, 0,
+			anneal.Params{Shots: 50, Sweeps: 2 * core.SweepsPerMicrosecond, Seed: 1}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -194,14 +205,14 @@ func BenchmarkAblationAnnealEmbedded(b *testing.B) {
 // Samplers head to head on the same QUBO and budget.
 func BenchmarkAblationSamplerSQA(b *testing.B) {
 	benchSampler(b, func(m *qubo.Model) error {
-		_, err := anneal.SQA(m, anneal.Params{Shots: 100, Sweeps: 10, Seed: 1})
+		_, err := anneal.SQA(context.Background(), m, anneal.Params{Shots: 100, Sweeps: 10, Seed: 1})
 		return err
 	})
 }
 
 func BenchmarkAblationSamplerSA(b *testing.B) {
 	benchSampler(b, func(m *qubo.Model) error {
-		_, err := anneal.SA(m, anneal.Params{Shots: 100, Sweeps: 10, Seed: 1})
+		_, err := anneal.SA(context.Background(), m, anneal.Params{Shots: 100, Sweeps: 10, Seed: 1})
 		return err
 	})
 }
@@ -241,7 +252,7 @@ func benchTruthTable(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	orc, err := oracle.Build(g.Build(), 2, 6)
+	orc, err := oracle.BuildOpts(g.Build(), 2, 6, oracle.Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -283,7 +294,7 @@ func BenchmarkAblationParallelGroverIteration(b *testing.B) {
 
 func benchSAShots(b *testing.B) {
 	benchSampler(b, func(m *qubo.Model) error {
-		_, err := anneal.SA(m, anneal.Params{Shots: 100, Sweeps: 10, Seed: 1})
+		_, err := anneal.SA(context.Background(), m, anneal.Params{Shots: 100, Sweeps: 10, Seed: 1})
 		return err
 	})
 }
@@ -346,10 +357,10 @@ func benchQMKPBinarySearch(b *testing.B, disableFast bool) {
 	g := graph.Gnm(16, 80, 3)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := core.QMKP(g, 2, &core.GateOptions{
+		res, err := core.SolveMKP(context.Background(), g, core.Spec{Algo: core.AlgoMKP, K: 2, Gate: &core.GateOptions{
 			Rng:             rand.New(rand.NewSource(1)),
 			DisableFastPath: disableFast,
-		})
+		}})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -370,7 +381,8 @@ func BenchmarkQMKPByN(b *testing.B) {
 		g := graph.Gnm(n, n*(n-1)/3, 7)
 		b.Run(byN(n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := core.QMKP(g, 2, &core.GateOptions{Rng: rand.New(rand.NewSource(1))}); err != nil {
+				if _, err := core.SolveMKP(context.Background(), g, core.Spec{Algo: core.AlgoMKP, K: 2,
+					Gate: &core.GateOptions{Rng: rand.New(rand.NewSource(1))}}); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -188,11 +188,16 @@ var cliOnly = map[string]bool{"bs": true, "naive": true, "tabu": true, "qnclub":
 // solve runs req on g, first co-pruned when coPrune is set (the kernel
 // report goes to text). Under co-pruning the answer is lifted back to
 // g's ids, and the greedy witness the kernel was pruned against stands
-// when it is larger: the kernel keeps only plexes that beat it.
+// when it is larger: the kernel keeps only plexes that beat it. A k or
+// T that the solver would refuse on g is refused before co-pruning, so
+// the kernel never answers what g could not be asked.
 func solve(ctx context.Context, req *api.SolveRequest, g *graph.Graph, coPrune bool, clubL int, ob obs.Obs, text io.Writer) (*api.SolveResult, error) {
 	var witness []int
 	lift := func(set []int) []int { return set }
 	if coPrune {
+		if err := core.CheckRange(g, core.Algo(req.Algo), req.K, req.T); err != nil {
+			return nil, err
+		}
 		q := req.T
 		if req.Algo != api.AlgoQTKP {
 			witness = kplex.Greedy(g, req.K)
@@ -259,7 +264,7 @@ func solveLocal(req *api.SolveRequest, g *graph.Graph, clubL int) (*api.SolveRes
 		}
 		set, out.Nodes = res.Set, res.Nodes
 	case "tabu":
-		set = kplex.TabuSearch(g, req.K, kplex.TabuOptions{Seed: req.EffectiveSeed()})
+		set = kplex.TabuSearch(g, req.K, req.EffectiveSeed())
 	case "qnclub":
 		res, err := club.QMaxClub(g, clubL, rand.New(rand.NewSource(req.EffectiveSeed())))
 		if err != nil {

@@ -92,6 +92,40 @@ func TestReduceErrors(t *testing.T) {
 	}
 }
 
+// -reduce shrinks the input but never changes whether a request is
+// answered: k and T are checked against the input graph before
+// co-pruning, so every (algo, k, T) exits in the same class with and
+// without it. The gate and anneal paths refuse k > n; bb, greedy, bs and
+// tabu accept it.
+func TestReduceKeepsExitClass(t *testing.T) {
+	for _, tc := range []struct {
+		args string
+		want int
+	}{
+		{"-algo qmkp -k 20", 2},
+		{"-algo qamkp -k 20", 2},
+		{"-algo qtkp -k 20 -T 3", 2},
+		{"-algo qtkp -k 2 -T 50", 2},
+		{"-algo qmkp -k 2", 0},
+		{"-algo qamkp -k 2", 0},
+		{"-algo qtkp -k 2 -T 4", 0},
+		{"-algo qtkp -k 2 -T 7", 4},
+		{"-algo bb -k 20", 0},
+		{"-algo greedy -k 20", 0},
+		{"-algo bs -k 20", 0},
+		{"-algo tabu -k 20", 0},
+	} {
+		var codes [2]int
+		for i, extra := range []string{"", " -reduce"} {
+			var out bytes.Buffer
+			codes[i] = api.ExitCode(run(strings.Fields(tc.args+" -gen 10,23 -seed 5"+extra), &out))
+		}
+		if codes[0] != tc.want || codes[1] != codes[0] {
+			t.Errorf("%s: exit %d without -reduce, %d with it; want %d both ways", tc.args, codes[0], codes[1], tc.want)
+		}
+	}
+}
+
 // Bad inputs are bad requests (exit 2), never a panic or an answer: a
 // -gen edge count outside [0, n(n-1)/2], and k < 1 for every k-plex
 // algorithm.

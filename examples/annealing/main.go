@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -43,7 +44,8 @@ func main() {
 	// Step 2: penalty-weight sensitivity (the paper's Table VI story).
 	fmt.Println("\npenalty weight sweep (200 shots, Δt = 1):")
 	for _, r := range []float64{1.1, 2, 4, 8} {
-		res, err := core.QAMKP(g, k, &core.AnnealOptions{R: r, Shots: 200, DeltaT: 1, Seed: 7})
+		res, err := core.SolveAnneal(context.Background(), g, core.Spec{Algo: core.AlgoAnneal, K: k,
+			Anneal: &core.AnnealOptions{R: r, Shots: 200, DeltaT: 1, Seed: 7}})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -52,7 +54,7 @@ func main() {
 	}
 
 	// Step 3: the hardware stage — minor embedding and chains.
-	emb, hw, err := core.EmbedOnHardware(enc.Model, 1)
+	emb, hw, err := embedding.EmbedOnHardware(enc.Model, 1)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -61,7 +63,7 @@ func main() {
 	fmt.Printf("  %d logical variables → %d physical qubits, avg chain %.2f, max chain %d\n",
 		st.Variables, st.PhysicalQubits, st.AvgChain, st.MaxChain)
 
-	res, err := embedding.SampleEmbedded(enc.Model, emb, 0,
+	res, err := embedding.SampleEmbedded(context.Background(), enc.Model, emb, 0,
 		anneal.Params{Shots: 150, Sweeps: 20, Seed: 7})
 	if err != nil {
 		log.Fatal(err)

@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -36,7 +37,7 @@ func main() {
 				}
 			}
 			sub, ids := g.InducedSubgraph(members)
-			res, err := kplex.BB(sub, k)
+			res, err := kplex.BBOpt(context.Background(), sub, k, kplex.BBOptions{})
 			if err != nil {
 				log.Fatal(err)
 			}

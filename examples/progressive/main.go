@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -23,7 +24,7 @@ func main() {
 	g := d.Build()
 	fmt.Printf("dataset %s: %v, k = 2\n\n", d.Name, g)
 
-	res, err := core.QMKP(g, 2, nil)
+	res, err := core.SolveMKP(context.Background(), g, core.Spec{Algo: core.AlgoMKP, K: 2})
 	if err != nil {
 		log.Fatal(err)
 	}

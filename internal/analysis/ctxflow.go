@@ -31,7 +31,7 @@ import (
 //     context.TODO() — the caller's ctx is in (or one hop from) scope.
 //     Recognized legacy wrappers are exempt: a function WITHOUT a ctx
 //     parameter that passes Background()/TODO() directly as the argument
-//     of a ctx-aware module call (`func SQA(…) { return SQACtx(
+//     of a ctx-aware module call (`func Run(…) { return RunCtx(
 //     context.Background(), …) }`) is the documented compatibility
 //     pattern. Each wrapper exports a "wrapper" fact.
 //  4. wrapper calls (module-wide, fact-consuming): a function that has a

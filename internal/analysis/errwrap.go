@@ -26,7 +26,7 @@ import (
 //     the sentinel when their errors cross the Solve boundary, which is
 //     exactly what rule 1 polices.
 //  3. discarded solver errors (module-wide): a blank-assigned error
-//     result of a ctx-aware module call (`res, _ := SearchObs(ctx, …)`)
+//     result of a ctx-aware module call (`res, _ := grover.Search(ctx, …)`)
 //     throws away the one value that reports ErrCanceled; cancellation
 //     becomes indistinguishable from success.
 type ErrWrap struct {

@@ -10,9 +10,9 @@
 //   - Hybrid: a greedy + annealing + polish portfolio with a minimum
 //     runtime contract, standing in for the D-Wave Hybrid BQM solver.
 //
-// All samplers are deterministic under a fixed seed and report a
-// best-so-far trace per shot so the harness can draw the paper's
-// cost-vs-runtime curves.
+// All samplers take their context first, are deterministic under a
+// fixed seed and report a best-so-far trace per shot so the harness can
+// draw the paper's cost-vs-runtime curves.
 package anneal
 
 import (
@@ -26,20 +26,26 @@ import (
 	"repro/internal/qubo"
 )
 
+// The fixed annealing schedules. SA ramps its inverse temperature
+// geometrically from saBetaMin to saBetaMax; SQA anneals sqaTrotter
+// Trotter slices while the transverse field decays linearly from
+// sqaGamma0 to sqaGammaMin and the bath's inverse temperature rises
+// geometrically from 1 to sqaBeta. The floats are typed so every
+// schedule expression rounds as float64 arithmetic does.
+const (
+	saBetaMin   float64 = 0.1
+	saBetaMax   float64 = 10
+	sqaTrotter          = 8
+	sqaGamma0   float64 = 3
+	sqaGammaMin float64 = 0.05
+	sqaBeta     float64 = 20
+)
+
 // Params configures a sampler. Zero values select documented defaults.
 type Params struct {
 	Shots  int   // independent anneals (default 1)
 	Sweeps int   // Monte-Carlo sweeps per shot — the Δt analogue (default 1)
 	Seed   int64 // RNG seed (default 1)
-
-	// Simulated annealing schedule (inverse temperatures, geometric).
-	BetaMin, BetaMax float64 // defaults 0.1 → 10
-
-	// Simulated quantum annealing knobs.
-	Trotter  int     // Trotter slices P (default 8)
-	Gamma0   float64 // initial transverse field (default 3)
-	GammaMin float64 // final transverse field (default 0.05)
-	Beta     float64 // inverse temperature of the quantum bath (default 20)
 
 	// OnSample, when set, observes every end-of-shot readout (for SQA:
 	// every Trotter slice) with its energy — the hook callers use to
@@ -47,9 +53,10 @@ type Params struct {
 	// which need not coincide with the best energy (Section IV-C).
 	// Shots anneal on parallel workers, but the hook is always invoked
 	// serially, in shot order (slice order within a shot), from the
-	// caller's goroutine, so it needs no synchronization. It is kept as
-	// a compatibility hook; the Obs observer below sees the same stream
-	// as "anneal.sample" events from the same serial merge loop.
+	// caller's goroutine, so it needs no synchronization. It is the only
+	// way a caller sees each readout's assignment: the Obs observer
+	// below sees the same stream, energies only, as "anneal.sample"
+	// events from the same serial merge loop.
 	OnSample func(x []bool, energy float64)
 
 	// Obs carries the unified observability subsystem (internal/obs):
@@ -77,24 +84,6 @@ func (p Params) withDefaults() Params {
 	}
 	if p.Seed == 0 {
 		p.Seed = 1
-	}
-	if p.BetaMin <= 0 {
-		p.BetaMin = 0.1
-	}
-	if p.BetaMax <= 0 {
-		p.BetaMax = 10
-	}
-	if p.Trotter <= 0 {
-		p.Trotter = 8
-	}
-	if p.Gamma0 <= 0 {
-		p.Gamma0 = 3
-	}
-	if p.GammaMin <= 0 {
-		p.GammaMin = 0.05
-	}
-	if p.Beta <= 0 {
-		p.Beta = 20
 	}
 	return p
 }
@@ -247,21 +236,12 @@ func emitShotMetrics(p Params, kind string, shots []shotOutcome, done []bool, co
 
 // SA runs classical simulated annealing: per shot, a random start followed
 // by Sweeps passes of single-flip Metropolis moves under a geometric
-// inverse-temperature ramp BetaMin → BetaMax. Shots are independent
+// inverse-temperature ramp saBetaMin → saBetaMax. Shots are independent
 // anneals with seeds derived from Params.Seed and the shot index, so they
 // run on parallel workers; results are bit-identical at any worker count.
-//
-// SA is the legacy no-context wrapper over SACtx — audited for errwrap
-// (the error propagates unchanged); ctxflow exempts the wrapper and
-// flags ctx-holding callers instead.
-func SA(m *qubo.Model, p Params) (Result, error) {
-	return SACtx(context.Background(), m, p)
-}
-
-// SACtx is SA under a context: cancellation is honoured at shot
-// boundaries, returning the best result over completed shots plus an
-// error wrapping ctx.Err().
-func SACtx(ctx context.Context, m *qubo.Model, p Params) (Result, error) {
+// Cancellation is honoured at shot boundaries, returning the best result
+// over completed shots plus an error wrapping ctx.Err().
+func SA(ctx context.Context, m *qubo.Model, p Params) (Result, error) {
 	if m.N() == 0 {
 		return Result{}, fmt.Errorf("anneal: empty model")
 	}
@@ -313,14 +293,14 @@ func saShot(c *qubo.Compiled, p Params, shot int) shotOutcome {
 }
 
 // betaAt interpolates the geometric SA schedule. A single-sweep shot runs
-// straight at BetaMax (a quench), matching the behaviour of hardware-style
-// very short anneals.
+// straight at saBetaMax (a quench), matching the behaviour of
+// hardware-style very short anneals.
 func betaAt(p Params, sweep int) float64 {
 	if p.Sweeps == 1 {
-		return p.BetaMax
+		return saBetaMax
 	}
 	f := float64(sweep) / float64(p.Sweeps-1)
-	return p.BetaMin * math.Pow(p.BetaMax/p.BetaMin, f)
+	return saBetaMin * math.Pow(saBetaMax/saBetaMin, f)
 }
 
 // SteepestDescent repeatedly applies the best improving single flip until

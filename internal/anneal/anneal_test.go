@@ -1,6 +1,7 @@
 package anneal
 
 import (
+	"context"
 	"math"
 	"testing"
 	"time"
@@ -55,7 +56,7 @@ func smallMKPModel(t *testing.T) (*qubo.MKPEncoding, float64) {
 
 func TestSAFindsOptimumOnExample(t *testing.T) {
 	e, want := smallMKPModel(t)
-	res, err := SA(e.Model, Params{Shots: 200, Sweeps: 30, Seed: 7})
+	res, err := SA(context.Background(), e.Model, Params{Shots: 200, Sweeps: 30, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +71,7 @@ func TestSAFindsOptimumOnExample(t *testing.T) {
 
 func TestSQAFindsOptimumOnExample(t *testing.T) {
 	e, want := smallMKPModel(t)
-	res, err := SQA(e.Model, Params{Shots: 100, Sweeps: 30, Seed: 7})
+	res, err := SQA(context.Background(), e.Model, Params{Shots: 100, Sweeps: 30, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,14 +100,14 @@ func TestSamplersReachBruteForceMinimum(t *testing.T) {
 		}
 	}
 	want := bruteMin(m)
-	sa, err := SA(m, Params{Shots: 100, Sweeps: 40, Seed: 3})
+	sa, err := SA(context.Background(), m, Params{Shots: 100, Sweeps: 40, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if math.Abs(sa.Best.Energy-want) > 1e-9 {
 		t.Errorf("SA best = %v, brute force = %v", sa.Best.Energy, want)
 	}
-	sqa, err := SQA(m, Params{Shots: 40, Sweeps: 40, Seed: 3})
+	sqa, err := SQA(context.Background(), m, Params{Shots: 40, Sweeps: 40, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,8 +119,12 @@ func TestSamplersReachBruteForceMinimum(t *testing.T) {
 func TestTraceMonotoneNonIncreasing(t *testing.T) {
 	e, _ := smallMKPModel(t)
 	for name, run := range map[string]func() (Result, error){
-		"SA":  func() (Result, error) { return SA(e.Model, Params{Shots: 30, Sweeps: 5, Seed: 2}) },
-		"SQA": func() (Result, error) { return SQA(e.Model, Params{Shots: 30, Sweeps: 5, Seed: 2}) },
+		"SA": func() (Result, error) {
+			return SA(context.Background(), e.Model, Params{Shots: 30, Sweeps: 5, Seed: 2})
+		},
+		"SQA": func() (Result, error) {
+			return SQA(context.Background(), e.Model, Params{Shots: 30, Sweeps: 5, Seed: 2})
+		},
 	} {
 		res, err := run()
 		if err != nil {
@@ -138,13 +143,13 @@ func TestTraceMonotoneNonIncreasing(t *testing.T) {
 
 func TestDeterministicUnderSeed(t *testing.T) {
 	e, _ := smallMKPModel(t)
-	a, _ := SA(e.Model, Params{Shots: 10, Sweeps: 10, Seed: 5})
-	b, _ := SA(e.Model, Params{Shots: 10, Sweeps: 10, Seed: 5})
+	a, _ := SA(context.Background(), e.Model, Params{Shots: 10, Sweeps: 10, Seed: 5})
+	b, _ := SA(context.Background(), e.Model, Params{Shots: 10, Sweeps: 10, Seed: 5})
 	if a.Best.Energy != b.Best.Energy {
 		t.Error("SA not deterministic under fixed seed")
 	}
-	c, _ := SQA(e.Model, Params{Shots: 10, Sweeps: 10, Seed: 5})
-	d, _ := SQA(e.Model, Params{Shots: 10, Sweeps: 10, Seed: 5})
+	c, _ := SQA(context.Background(), e.Model, Params{Shots: 10, Sweeps: 10, Seed: 5})
+	d, _ := SQA(context.Background(), e.Model, Params{Shots: 10, Sweeps: 10, Seed: 5})
 	if c.Best.Energy != d.Best.Energy {
 		t.Error("SQA not deterministic under fixed seed")
 	}
@@ -167,7 +172,7 @@ func TestSteepestDescentReachesLocalMin(t *testing.T) {
 
 func TestHybridNearOptimalAndHonoursContract(t *testing.T) {
 	e, want := smallMKPModel(t)
-	res, err := Hybrid(e.Model, HybridParams{MinRuntime: 20 * time.Millisecond, Seed: 4})
+	res, err := Hybrid(context.Background(), e.Model, HybridParams{MinRuntime: 20 * time.Millisecond, Seed: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,13 +185,13 @@ func TestHybridNearOptimalAndHonoursContract(t *testing.T) {
 }
 
 func TestEmptyModelRejected(t *testing.T) {
-	if _, err := SA(qubo.NewModel(), Params{}); err == nil {
+	if _, err := SA(context.Background(), qubo.NewModel(), Params{}); err == nil {
 		t.Error("SA accepted empty model")
 	}
-	if _, err := SQA(qubo.NewModel(), Params{}); err == nil {
+	if _, err := SQA(context.Background(), qubo.NewModel(), Params{}); err == nil {
 		t.Error("SQA accepted empty model")
 	}
-	if _, err := Hybrid(qubo.NewModel(), HybridParams{}); err == nil {
+	if _, err := Hybrid(context.Background(), qubo.NewModel(), HybridParams{}); err == nil {
 		t.Error("Hybrid accepted empty model")
 	}
 }
@@ -200,7 +205,7 @@ func TestSABestEnergyIsExact(t *testing.T) {
 	// long schedule.
 	m := driftModel(24)
 	c := m.Compile()
-	res, err := SA(m, Params{Shots: 3, Sweeps: 2000, Seed: 6})
+	res, err := SA(context.Background(), m, Params{Shots: 3, Sweeps: 2000, Seed: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +220,7 @@ func TestSQABestEnergyMatchesModel(t *testing.T) {
 	// QUBO objective of the recorded assignment (up to the Ising
 	// re-association, hence the tolerance rather than exact equality).
 	m := driftModel(16)
-	res, err := SQA(m, Params{Shots: 4, Sweeps: 200, Seed: 6})
+	res, err := SQA(context.Background(), m, Params{Shots: 4, Sweeps: 200, Seed: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,12 +239,12 @@ func TestSamplersDeterministicAcrossWorkers(t *testing.T) {
 		samples []Sample
 	}
 	for name, run := range map[string]func(Params) (Result, error){
-		"SA":  func(p Params) (Result, error) { return SA(m, p) },
-		"SQA": func(p Params) (Result, error) { return SQA(m, p) },
+		"SA":  func(p Params) (Result, error) { return SA(context.Background(), m, p) },
+		"SQA": func(p Params) (Result, error) { return SQA(context.Background(), m, p) },
 	} {
 		runTrace := func() trace {
 			var tr trace
-			p := Params{Shots: 8, Sweeps: 20, Seed: 3, Trotter: 4,
+			p := Params{Shots: 8, Sweeps: 20, Seed: 3,
 				OnSample: func(x []bool, e float64) {
 					tr.samples = append(tr.samples, Sample{X: append([]bool(nil), x...), Energy: e})
 				}}
@@ -301,11 +306,11 @@ func TestMoreShotsHelpAtFixedBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	many, err := SQA(e.Model, Params{Shots: 100, Sweeps: 1, Seed: 9})
+	many, err := SQA(context.Background(), e.Model, Params{Shots: 100, Sweeps: 1, Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
-	few, err := SQA(e.Model, Params{Shots: 2, Sweeps: 50, Seed: 9})
+	few, err := SQA(context.Background(), e.Model, Params{Shots: 2, Sweeps: 50, Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,8 +16,6 @@ type HybridParams struct {
 	// service has a 3 s floor; default here 50 ms so tests stay fast).
 	MinRuntime time.Duration
 	Seed       int64
-	// Restarts per improvement round (default 8).
-	Restarts int
 	// Obs carries the observability subsystem; the hybrid loop emits
 	// one "anneal.hybrid.round" event per improvement round. Because
 	// the round count is wall-clock driven (the MinRuntime contract),
@@ -33,24 +31,18 @@ type HybridResult struct {
 	Rounds  int
 }
 
+// hybridRestarts is the number of SA restarts per improvement round.
+const hybridRestarts = 8
+
 // Hybrid is the stand-in for the D-Wave Hybrid BQM solver: a portfolio of
 // annealing restarts and steepest-descent polish that honours a minimum
 // runtime contract and returns the best assignment found. On the paper's
 // problem sizes it is essentially always optimal, matching the single
-// near-optimal star the figures show for haMKP.
-//
-// Hybrid is the legacy no-context wrapper over HybridCtx — audited for
-// errwrap (the error propagates unchanged); ctxflow exempts the wrapper
-// and flags ctx-holding callers instead.
-func Hybrid(m *qubo.Model, p HybridParams) (HybridResult, error) {
-	return HybridCtx(context.Background(), m, p)
-}
-
-// HybridCtx is Hybrid under a context: cancellation is honoured at
-// round boundaries (and inside each round's SA fan-out), returning the
+// near-optimal star the figures show for haMKP. Cancellation is honoured
+// at round boundaries (and inside each round's SA fan-out), returning the
 // best assignment found so far plus an error wrapping ctx.Err(). The
 // MinRuntime contract yields to cancellation.
-func HybridCtx(ctx context.Context, m *qubo.Model, p HybridParams) (HybridResult, error) {
+func Hybrid(ctx context.Context, m *qubo.Model, p HybridParams) (HybridResult, error) {
 	if m.N() == 0 {
 		return HybridResult{}, fmt.Errorf("anneal: empty model")
 	}
@@ -59,9 +51,6 @@ func HybridCtx(ctx context.Context, m *qubo.Model, p HybridParams) (HybridResult
 	}
 	if p.Seed == 0 {
 		p.Seed = 1
-	}
-	if p.Restarts <= 0 {
-		p.Restarts = 8
 	}
 	c := m.Compile()
 	start := time.Now()
@@ -77,7 +66,7 @@ func HybridCtx(ctx context.Context, m *qubo.Model, p HybridParams) (HybridResult
 		// Annealed candidates... (SA's own trace span would interleave
 		// nondeterministically with the round events, so only metrics
 		// flow through; the hybrid path is wall-clock driven anyway.)
-		res, err := SACtx(ctx, m, Params{Shots: p.Restarts, Sweeps: 64, Seed: seed, Obs: obs.Obs{Metrics: p.Obs.Metrics}})
+		res, err := SA(ctx, m, Params{Shots: hybridRestarts, Sweeps: 64, Seed: seed, Obs: obs.Obs{Metrics: p.Obs.Metrics}})
 		if err != nil {
 			// Fold whatever the interrupted fan-out completed before
 			// handing back the best-so-far.
@@ -87,7 +76,7 @@ func HybridCtx(ctx context.Context, m *qubo.Model, p HybridParams) (HybridResult
 			out.Elapsed = time.Since(start)
 			return out, err
 		}
-		seed += int64(p.Restarts) + 1
+		seed += hybridRestarts + 1
 		// ...polished to local optimality.
 		x := append([]bool(nil), res.Best.X...)
 		energy := SteepestDescent(c, x)

@@ -11,31 +11,22 @@ import (
 )
 
 // SQA runs path-integral simulated quantum annealing on the Ising form of
-// the model: P Trotter replicas of the spin system, coupled along the
-// imaginary-time direction with strength
+// the model: P = sqaTrotter replicas of the spin system, coupled along
+// the imaginary-time direction with strength
 //
 //	J⊥(Γ) = -(P/(2β))·ln tanh(βΓ/P)
 //
-// while the transverse field Γ decays from Gamma0 to GammaMin over the
-// sweep schedule. Each sweep proposes one Metropolis flip per (slice,
+// while the transverse field Γ decays from sqaGamma0 to sqaGammaMin over
+// the sweep schedule. Each sweep proposes one Metropolis flip per (slice,
 // spin). The classical energy of every slice is tracked and the best
 // assignment over all slices and shots is returned.
 //
 // This is the reproduction's stand-in for the D-Wave Advantage QPU: the
 // per-shot sweep count plays the paper's annealing time Δt, and the shot
-// count its sample count s.
-//
-// SQA is the legacy no-context wrapper over SQACtx — audited for
-// errwrap (the error propagates unchanged); ctxflow exempts the wrapper
-// and flags ctx-holding callers instead.
-func SQA(m *qubo.Model, p Params) (Result, error) {
-	return SQACtx(context.Background(), m, p)
-}
-
-// SQACtx is SQA under a context: cancellation is honoured at shot
-// boundaries, returning the best result over completed shots plus an
-// error wrapping ctx.Err().
-func SQACtx(ctx context.Context, m *qubo.Model, p Params) (Result, error) {
+// count its sample count s. Cancellation is honoured at shot boundaries,
+// returning the best result over completed shots plus an error wrapping
+// ctx.Err().
+func SQA(ctx context.Context, m *qubo.Model, p Params) (Result, error) {
 	if m.N() == 0 {
 		return Result{}, fmt.Errorf("anneal: empty model")
 	}
@@ -99,7 +90,7 @@ func (a *isingAdj) energy(s []int8) float64 {
 
 // sqaIsing runs the PIMC anneal. If unembed is non-nil, each slice's raw
 // physical spins are mapped through it before energy accounting (used by
-// the embedded sampler in internal/embedding via RunEmbedded); shots run
+// the embedded sampler in internal/embedding via RunEmbeddedIsing); shots run
 // on parallel workers, so unembed must be safe for concurrent use. Each
 // shot anneals on its own RNG stream derived from Params.Seed and the
 // shot index, and outcomes merge in shot order — results are
@@ -117,7 +108,7 @@ func sqaIsing(ctx context.Context, is *qubo.Ising, p Params, unembed func([]int8
 func sqaShot(a *isingAdj, p Params, unembed func([]int8) ([]bool, float64), shot int) shotOutcome {
 	var out shotOutcome
 	rng := rand.New(rand.NewSource(shotSeed(p.Seed, shot)))
-	P := p.Trotter
+	const P = sqaTrotter
 	spins := make([][]int8, P)
 	for sl := range spins {
 		spins[sl] = make([]int8, a.n)
@@ -192,49 +183,39 @@ func sqaShot(a *isingAdj, p Params, unembed func([]int8) ([]bool, float64), shot
 }
 
 // sqaBetaAt ramps the bath inverse temperature geometrically from 1 up to
-// Beta across the sweep schedule (annealed-temperature PIMC): early sweeps
-// stay hot enough to escape penalty-term local minima, late sweeps freeze.
-// A single-sweep shot runs straight at Beta (a quench).
+// sqaBeta across the sweep schedule (annealed-temperature PIMC): early
+// sweeps stay hot enough to escape penalty-term local minima, late sweeps
+// freeze. A single-sweep shot runs straight at sqaBeta (a quench).
 func sqaBetaAt(p Params, sweep int) float64 {
 	if p.Sweeps == 1 {
-		return p.Beta
+		return sqaBeta
 	}
 	f := float64(sweep) / float64(p.Sweeps-1)
-	return math.Pow(p.Beta, f)
+	return math.Pow(sqaBeta, f)
 }
 
-// gammaAt interpolates the transverse-field schedule linearly from Gamma0
-// down to GammaMin. A single-sweep shot anneals straight at GammaMin (a
-// quantum quench), mirroring hardware minimum-Δt behaviour.
+// gammaAt interpolates the transverse-field schedule linearly from
+// sqaGamma0 down to sqaGammaMin. A single-sweep shot anneals straight at
+// sqaGammaMin (a quantum quench), mirroring hardware minimum-Δt behaviour.
 func gammaAt(p Params, sweep int) float64 {
 	if p.Sweeps == 1 {
-		return p.GammaMin
+		return sqaGammaMin
 	}
 	f := float64(sweep) / float64(p.Sweeps-1)
-	return p.Gamma0 + (p.GammaMin-p.Gamma0)*f
+	return sqaGamma0 + (sqaGammaMin-sqaGamma0)*f
 }
 
 // RunEmbeddedIsing exposes the PIMC core for callers that have already
 // mapped a logical problem onto a physical Ising (internal/embedding): the
 // unembed callback translates each physical slice back to a logical
-// assignment and its logical energy.
+// assignment and its logical energy. Cancellation is honoured at shot
+// boundaries like the other samplers.
 // As on real hardware, the physical coefficients are normalised to
 // max |h|, |J| = 1 before annealing (the D-Wave auto-scale): chain
 // couplings otherwise dwarf the fixed-β Monte-Carlo dynamics and freeze
 // the anneal. Reported energies are unaffected — the unembed callback
 // evaluates the ORIGINAL logical objective.
-//
-// RunEmbeddedIsing is the legacy no-context wrapper over
-// RunEmbeddedIsingCtx — audited for errwrap (the error propagates
-// unchanged); ctxflow exempts the wrapper and flags ctx-holding callers
-// instead.
-func RunEmbeddedIsing(is *qubo.Ising, p Params, unembed func([]int8) ([]bool, float64)) (Result, error) {
-	return RunEmbeddedIsingCtx(context.Background(), is, p, unembed)
-}
-
-// RunEmbeddedIsingCtx is RunEmbeddedIsing under a context, honouring
-// cancellation at shot boundaries like the other samplers.
-func RunEmbeddedIsingCtx(ctx context.Context, is *qubo.Ising, p Params, unembed func([]int8) ([]bool, float64)) (Result, error) {
+func RunEmbeddedIsing(ctx context.Context, is *qubo.Ising, p Params, unembed func([]int8) ([]bool, float64)) (Result, error) {
 	if is.N == 0 {
 		return Result{}, fmt.Errorf("anneal: empty Ising")
 	}

@@ -98,7 +98,7 @@ func TestOracleMatchesClassicalPredicate(t *testing.T) {
 				continue
 			}
 			T := 1 + rng.Intn(n)
-			orc, err := BuildOracle(g, L, T)
+			orc, err := BuildOracle(g, L, T, Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -118,7 +118,7 @@ func TestOracleL1IsCliqueOracle(t *testing.T) {
 	// A 1-club is exactly a clique: the oracle must agree with the
 	// pairwise-adjacency definition.
 	g := graph.Example6()
-	orc, err := BuildOracle(g, 1, 3)
+	orc, err := BuildOracle(g, 1, 3, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,16 +142,16 @@ func TestOracleL1IsCliqueOracle(t *testing.T) {
 
 func TestOracleValidation(t *testing.T) {
 	g := path5()
-	if _, err := BuildOracle(g, 0, 2); err == nil {
+	if _, err := BuildOracle(g, 0, 2, Options{}); err == nil {
 		t.Error("L=0 accepted")
 	}
-	if _, err := BuildOracle(g, 5, 2); err == nil {
+	if _, err := BuildOracle(g, 5, 2, Options{}); err == nil {
 		t.Error("L=n accepted")
 	}
-	if _, err := BuildOracle(g, 2, 0); err == nil {
+	if _, err := BuildOracle(g, 2, 0, Options{}); err == nil {
 		t.Error("T=0 accepted")
 	}
-	if _, err := BuildOracle(graph.New(0), 1, 1); err == nil {
+	if _, err := BuildOracle(graph.New(0), 1, 1, Options{}); err == nil {
 		t.Error("empty graph accepted")
 	}
 }
@@ -185,7 +185,7 @@ func TestReachabilityGateGrowth(t *testing.T) {
 	g := graph.Gnm(7, 10, 3)
 	prev := 0
 	for L := 1; L <= 3; L++ {
-		orc, err := BuildOracle(g, L, 3)
+		orc, err := BuildOracle(g, L, 3, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -206,11 +206,11 @@ func TestClubFastPathMatchesCircuit(t *testing.T) {
 		g := graph.Gnp(n, 0.25+rng.Float64()*0.5, rng.Int63())
 		L := 1 + rng.Intn(3)
 		T := 1 + rng.Intn(n)
-		circuit, err := BuildOracle(g, L, T)
+		circuit, err := BuildOracle(g, L, T, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		fast, err := BuildOracleOpts(g, L, T, Options{FastPath: true})
+		fast, err := BuildOracle(g, L, T, Options{FastPath: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -236,7 +236,7 @@ func TestClubFastPathMatchesCircuit(t *testing.T) {
 func TestClubTruthTableDeterministicAcrossWorkers(t *testing.T) {
 	g := graph.Gnp(7, 0.45, 62)
 	for _, opts := range []Options{{}, {FastPath: true}} {
-		o, err := BuildOracleOpts(g, 2, 3, opts)
+		o, err := BuildOracle(g, 2, 3, opts)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -64,12 +64,7 @@ const constZero = -1
 
 // BuildOracle compiles the n-club oracle for graph g with diameter bound L
 // and size threshold T.
-func BuildOracle(g *graph.Graph, L, T int) (*Oracle, error) {
-	return BuildOracleOpts(g, L, T, Options{})
-}
-
-// BuildOracleOpts is BuildOracle with explicit Options.
-func BuildOracleOpts(g *graph.Graph, L, T int, opts Options) (*Oracle, error) {
+func BuildOracle(g *graph.Graph, L, T int, opts Options) (*Oracle, error) {
 	n := g.N()
 	if n < 1 {
 		return nil, fmt.Errorf("club: empty graph")

@@ -1,11 +1,13 @@
 package club
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 
 	"repro/internal/graph"
 	"repro/internal/grover"
+	"repro/internal/obs"
 	"repro/internal/qsim"
 )
 
@@ -25,7 +27,7 @@ func QTClub(g *graph.Graph, L, T int, rng *rand.Rand) (Result, bool, error) {
 	// The semantic fast path answers the same predicate as the circuit
 	// (differentially tested); the circuit is still compiled for gate
 	// accounting either way.
-	orc, err := BuildOracleOpts(g, L, T, Options{FastPath: true})
+	orc, err := BuildOracle(g, L, T, Options{FastPath: true})
 	if err != nil {
 		return Result{}, false, err
 	}
@@ -40,7 +42,10 @@ func QTClub(g *graph.Graph, L, T int, rng *rand.Rand) (Result, bool, error) {
 	if m == 0 {
 		return Result{}, false, nil
 	}
-	sr := grover.Search(n, pred, m, int64(orc.TotalGates()), 3, rng)
+	sr, err := grover.Search(context.Background(), n, pred, m, int64(orc.TotalGates()), 3, rng, obs.Obs{})
+	if err != nil {
+		return Result{}, false, err
+	}
 	if !sr.Found {
 		return Result{}, false, nil
 	}

@@ -1,28 +1,26 @@
-// Package core implements the paper's contributed algorithms:
+// Package core implements the paper's contributed algorithms, each with
+// one context-first entry point in solve.go:
 //
-//   - QTKP (Algorithm 2): Grover search with the compiled k-plex oracle,
-//     finding a k-plex of size ≥ T.
-//   - QMKP (Algorithm 3): binary search over T on top of QTKP, progressive —
-//     it reports every probe, and in particular the first feasible
-//     solution, which is at least half the optimum.
-//   - QAMKP (Algorithm 4): the QUBO reformulation solved on the annealing
-//     substrate (see qamkp.go).
+//   - SolveTKP runs qTKP (Algorithm 2): Grover search with the compiled
+//     k-plex oracle, finding a k-plex of size ≥ T.
+//   - SolveMKP runs qMKP (Algorithm 3): binary search over T on top of
+//     qTKP, progressive — it reports every probe, and in particular the
+//     first feasible solution, which is at least half the optimum.
+//   - SolveAnneal runs qaMKP (Algorithm 4): the QUBO reformulation
+//     solved by simulated quantum annealing (see qamkp.go).
 //
-// The context-first entry points — SolveTKP, SolveMKP, SolveAnneal in
-// solve.go — are the primary API: they honour cancellation, return the
-// typed sentinels of errors.go, and carry the observability subsystem
-// (internal/obs) through every layer. QTKP/QMKP/QAMKP remain as thin
-// background-context wrappers with their original signatures.
+// Each honours cancellation, returns the typed sentinels of errors.go,
+// and carries the observability subsystem (internal/obs) through every
+// layer.
 //
 // The gate-based algorithms run on the hybrid simulator (exact, see
 // DESIGN.md) and report three costs: wall-clock of the simulation, gate
-// counts, and a modelled QPU time (gates × per-gate latency) that plays
-// the role of the paper's microsecond figures.
+// counts, and a modelled QPU time (gates × GateLatency) that plays the
+// role of the paper's microsecond figures.
 package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math/rand"
 	"time"
@@ -34,18 +32,20 @@ import (
 	"repro/internal/oracle"
 )
 
-// GateOptions tunes QTKP/QMKP. The zero value is usable.
+// GateLatency is the modelled QPU time per gate. 1 ns puts the modelled
+// times for the paper's 10-vertex instances in the paper's
+// hundreds-of-microseconds regime.
+const GateLatency = time.Nanosecond
+
+// MaxTries bounds the measure-and-verify repetitions of one probe
+// (Section V-A: repetition drives the error probability to
+// π²/(4I)^(2c)).
+const MaxTries = 3
+
+// GateOptions tunes qTKP/qMKP. The zero value is usable.
 type GateOptions struct {
-	// GateLatency is the modelled QPU time per gate. Default 1ns, which
-	// puts the modelled times for the paper's 10-vertex instances in the
-	// paper's hundreds-of-microseconds regime.
-	GateLatency time.Duration
 	// Rng drives measurements. Default: deterministic seed 1.
 	Rng *rand.Rand
-	// MaxTries bounds measure-and-verify repetitions per probe
-	// (Section V-A: repetition drives the error probability to
-	// π²/(4I)^(2c)). Default 3.
-	MaxTries int
 	// QuantumCounting, if true, estimates the solution count M with the
 	// quantum counting algorithm instead of reading it off the oracle
 	// truth table (both are faithful to the paper, which invokes
@@ -72,14 +72,8 @@ func (o *GateOptions) withDefaults(n int) GateOptions {
 	if o != nil {
 		out = *o
 	}
-	if out.GateLatency == 0 {
-		out.GateLatency = time.Nanosecond
-	}
 	if out.Rng == nil {
 		out.Rng = rand.New(rand.NewSource(1))
-	}
-	if out.MaxTries == 0 {
-		out.MaxTries = 3
 	}
 	if out.CountingQubits == 0 {
 		out.CountingQubits = n + 3
@@ -90,7 +84,7 @@ func (o *GateOptions) withDefaults(n int) GateOptions {
 	return out
 }
 
-// TKPResult is the outcome of one QTKP run.
+// TKPResult is the outcome of one qTKP run.
 type TKPResult struct {
 	Set   []int // the verified k-plex (nil if none found)
 	Found bool
@@ -105,20 +99,7 @@ type TKPResult struct {
 	WallTime time.Duration // simulator wall clock
 }
 
-// QTKP finds a k-plex of size ≥ T in g, or reports absence (Algorithm 2).
-// It is SolveTKP under context.Background() with verified absence folded
-// back into (Found=false, nil error) — the original signature's
-// convention. Use SolveTKP for cancellation and the ErrInfeasible
-// distinction.
-func QTKP(g *graph.Graph, k, T int, opt *GateOptions) (TKPResult, error) {
-	res, err := SolveTKP(context.Background(), g, Spec{Algo: AlgoTKP, K: k, T: T, Gate: opt})
-	if errors.Is(err, ErrInfeasible) {
-		return res, nil
-	}
-	return res, err
-}
-
-// probeSource is where every QTKP probe of one gate-model request gets
+// probeSource is where every qTKP probe of one gate-model request gets
 // its predicate "k-plex of size ≥ T" and exact solution count M. The
 // k-plex half does not depend on T, so one exhaustive fastoracle.Table,
 // built once per request, answers every probe: a word lookup per
@@ -143,7 +124,7 @@ func newProbeSource(g *graph.Graph, k int, o GateOptions, mx *obs.Metrics) (prob
 	return probeSource{tab: tab, hits: mx.Counter("fastoracle.table.hits")}, nil
 }
 
-// probe runs one QTKP probe against the oracle compiled for its
+// probe runs one qTKP probe against the oracle compiled for its
 // threshold. The oracle always supplies the gate count.
 func (s probeSource) probe(ctx context.Context, g *graph.Graph, orc *oracle.Oracle, o GateOptions, ob obs.Obs) (TKPResult, error) {
 	if s.tab == nil {
@@ -165,7 +146,7 @@ func (s probeSource) probe(ctx context.Context, g *graph.Graph, orc *oracle.Orac
 	return res, err
 }
 
-// runTKP is one QTKP probe against a compiled oracle: circuit truth-table
+// runTKP is one qTKP probe against a compiled oracle: circuit truth-table
 // sweep, exact count, then the Grover engine.
 func runTKP(ctx context.Context, g *graph.Graph, orc *oracle.Oracle, o GateOptions, ob obs.Obs) (TKPResult, error) {
 	if cerr := ctx.Err(); cerr != nil {
@@ -187,7 +168,7 @@ func runTKP(ctx context.Context, g *graph.Graph, orc *oracle.Oracle, o GateOptio
 	return runTKPPred(ctx, g.N(), pred, m, int64(orc.TotalGates()), o, ob)
 }
 
-// runTKPPred is the engine behind QTKP once the predicate and its exact
+// runTKPPred is the engine behind qTKP once the predicate and its exact
 // solution count are known, however they were obtained — a truth-table
 // sweep (runTKP) or the cross-threshold cplex table (probeSource). Given
 // the same (pred, m, gates, rng) it is bit-identical across those
@@ -220,21 +201,21 @@ func runTKPPred(ctx context.Context, n int, pred func(uint64) bool, m int, gates
 		// The wrong-conclusion probability of that procedure is the
 		// chance a real solution would have survived the schedule
 		// unmeasured, which is ≤ the usual π²/(4I)² bound.
-		sr, err := grover.SearchObs(ctx, n, pred, 1, gates, 1, o.Rng, ob)
+		sr, err := grover.Search(ctx, n, pred, 1, gates, 1, o.Rng, ob)
 		res.Found = false
 		res.Iterations = sr.Stats.Iterations
 		res.OracleCalls = sr.Stats.OracleCalls
 		res.Gates = sr.Stats.Gates
-		res.QPUTime = time.Duration(res.Gates) * o.GateLatency
+		res.QPUTime = time.Duration(res.Gates) * GateLatency
 		return res, err
 	}
 
-	sr, err := grover.SearchObs(ctx, n, pred, mEst, gates, o.MaxTries, o.Rng, ob)
+	sr, err := grover.Search(ctx, n, pred, mEst, gates, MaxTries, o.Rng, ob)
 	res.Iterations = sr.Stats.Iterations
 	res.OracleCalls = sr.Stats.OracleCalls
 	res.Gates = sr.Stats.Gates
 	res.ErrorProbability = sr.ErrorProbability
-	res.QPUTime = time.Duration(res.Gates) * o.GateLatency
+	res.QPUTime = time.Duration(res.Gates) * GateLatency
 	if sr.Found {
 		res.Found = true
 		res.Set = graph.MaskSubset(sr.Mask, n)
@@ -242,7 +223,7 @@ func runTKPPred(ctx context.Context, n int, pred func(uint64) bool, m int, gates
 	return res, err
 }
 
-// ProgressPoint records one binary-search probe of QMKP — the progressive
+// ProgressPoint records one binary-search probe of qMKP — the progressive
 // output stream the paper highlights.
 type ProgressPoint struct {
 	T     int   // probed threshold
@@ -254,7 +235,7 @@ type ProgressPoint struct {
 	CumQPUTime time.Duration // modelled cumulative QPU time
 }
 
-// MKPResult is the outcome of QMKP.
+// MKPResult is the outcome of qMKP.
 type MKPResult struct {
 	Set  []int
 	Size int
@@ -267,23 +248,4 @@ type MKPResult struct {
 	QPUTime          time.Duration
 	WallTime         time.Duration
 	ErrorProbability float64 // union bound over probes that found solutions
-}
-
-// QMKP finds a maximum k-plex by binary search over QTKP (Algorithm 3).
-// It is SolveMKP under context.Background(); use SolveMKP for
-// cancellation with best-so-far results and typed errors.
-func QMKP(g *graph.Graph, k int, opt *GateOptions) (MKPResult, error) {
-	return SolveMKP(context.Background(), g, Spec{Algo: AlgoMKP, K: k, Gate: opt})
-}
-
-// OracleBreakdown compiles the oracle for (g, k, T) and returns the
-// per-component gate counts (graph encoding, degree count, degree
-// comparison, size determination) of one oracle call — the data behind the
-// paper's Table IV.
-func OracleBreakdown(g *graph.Graph, k, T int) (map[string]int, error) {
-	orc, err := oracle.Build(g, k, T)
-	if err != nil {
-		return nil, err
-	}
-	return orc.ComponentGates(), nil
 }

@@ -15,12 +15,12 @@ import (
 
 func TestQTKPOnExample(t *testing.T) {
 	g := graph.Example6()
-	res, err := QTKP(g, 2, 4, nil)
+	res, err := SolveTKP(context.Background(), g, Spec{Algo: AlgoTKP, K: 2, T: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !res.Found {
-		t.Fatal("QTKP did not find the size-4 2-plex")
+		t.Fatal("qTKP did not find the size-4 2-plex")
 	}
 	want := []int{0, 1, 3, 4}
 	if len(res.Set) != 4 {
@@ -47,23 +47,23 @@ func TestQTKPOnExample(t *testing.T) {
 
 func TestQTKPAbsence(t *testing.T) {
 	g := graph.Example6()
-	res, err := QTKP(g, 2, 5, nil)
-	if err != nil {
-		t.Fatal(err)
+	res, err := SolveTKP(context.Background(), g, Spec{Algo: AlgoTKP, K: 2, T: 5})
+	if !errors.Is(err, ErrInfeasible) {
+		t.Fatalf("err = %v, want ErrInfeasible", err)
 	}
 	if res.Found {
-		t.Errorf("QTKP claimed a size-5 2-plex exists: %v", res.Set)
+		t.Errorf("qTKP claimed a size-5 2-plex exists: %v", res.Set)
 	}
 }
 
 func TestQTKPWithQuantumCounting(t *testing.T) {
 	g := graph.Example6()
-	res, err := QTKP(g, 2, 4, &GateOptions{QuantumCounting: true, CountingQubits: 9})
+	res, err := SolveTKP(context.Background(), g, Spec{Algo: AlgoTKP, K: 2, T: 4, Gate: &GateOptions{QuantumCounting: true, CountingQubits: 9}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !res.Found {
-		t.Fatal("QTKP with quantum counting failed")
+		t.Fatal("qTKP with quantum counting failed")
 	}
 	if res.M < 1 || res.M > 2 {
 		t.Errorf("quantum counting estimated M = %d, want ≈ 1", res.M)
@@ -80,15 +80,15 @@ func TestQMKPMatchesClassicalOptimum(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := QMKP(g, k, &GateOptions{Rng: rand.New(rand.NewSource(rng.Int63()))})
+			got, err := SolveMKP(context.Background(), g, Spec{Algo: AlgoMKP, K: k, Gate: &GateOptions{Rng: rand.New(rand.NewSource(rng.Int63()))}})
 			if err != nil {
 				t.Fatal(err)
 			}
 			if got.Size != want.Size {
-				t.Fatalf("n=%d k=%d: QMKP size %d != optimum %d", n, k, got.Size, want.Size)
+				t.Fatalf("n=%d k=%d: qMKP size %d != optimum %d", n, k, got.Size, want.Size)
 			}
 			if !g.IsKPlex(got.Set, k) {
-				t.Fatalf("QMKP returned non-k-plex %v", got.Set)
+				t.Fatalf("qMKP returned non-k-plex %v", got.Set)
 			}
 		}
 	}
@@ -100,7 +100,7 @@ func TestQMKPProgressiveGuarantee(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	for trial := 0; trial < 10; trial++ {
 		g := graph.Gnp(8, 0.5, rng.Int63())
-		res, err := QMKP(g, 2, &GateOptions{Rng: rand.New(rand.NewSource(rng.Int63()))})
+		res, err := SolveMKP(context.Background(), g, Spec{Algo: AlgoMKP, K: 2, Gate: &GateOptions{Rng: rand.New(rand.NewSource(rng.Int63()))}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -125,34 +125,35 @@ func TestQMKPOnPaperDatasets(t *testing.T) {
 		if !ok {
 			continue
 		}
-		res, err := QMKP(d.Build(), 2, nil)
+		res, err := SolveMKP(context.Background(), d.Build(), Spec{Algo: AlgoMKP, K: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if res.Size != want {
-			t.Errorf("%s: QMKP size %d, want %d", d.Name, res.Size, want)
+			t.Errorf("%s: qMKP size %d, want %d", d.Name, res.Size, want)
 		}
 	}
 }
 
 func TestQMKPValidation(t *testing.T) {
-	if _, err := QMKP(graph.New(0), 1, nil); err == nil {
+	if _, err := SolveMKP(context.Background(), graph.New(0), Spec{Algo: AlgoMKP, K: 1}); err == nil {
 		t.Error("empty graph accepted")
 	}
-	if _, err := QMKP(graph.Example6(), 0, nil); err == nil {
+	if _, err := SolveMKP(context.Background(), graph.Example6(), Spec{Algo: AlgoMKP, K: 0}); err == nil {
 		t.Error("k=0 accepted")
 	}
-	if _, err := QMKP(graph.Example6(), 7, nil); err == nil {
+	if _, err := SolveMKP(context.Background(), graph.Example6(), Spec{Algo: AlgoMKP, K: 7}); err == nil {
 		t.Error("k>n accepted")
 	}
 }
 
 func TestOracleBreakdownShares(t *testing.T) {
 	g := graph.Example6()
-	counts, err := OracleBreakdown(g, 2, 4)
+	orc, err := oracle.BuildOpts(g, 2, 4, oracle.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	counts := orc.ComponentGates()
 	total := 0
 	for _, c := range counts {
 		total += c
@@ -167,16 +168,16 @@ func TestOracleBreakdownShares(t *testing.T) {
 
 func TestQMKPDeterministicWithFixedSeed(t *testing.T) {
 	g := graph.Example6()
-	a, err := QMKP(g, 2, &GateOptions{Rng: rand.New(rand.NewSource(7))})
+	a, err := SolveMKP(context.Background(), g, Spec{Algo: AlgoMKP, K: 2, Gate: &GateOptions{Rng: rand.New(rand.NewSource(7))}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := QMKP(g, 2, &GateOptions{Rng: rand.New(rand.NewSource(7))})
+	b, err := SolveMKP(context.Background(), g, Spec{Algo: AlgoMKP, K: 2, Gate: &GateOptions{Rng: rand.New(rand.NewSource(7))}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if a.Size != b.Size || a.Gates != b.Gates || len(a.Progress) != len(b.Progress) {
-		t.Error("QMKP not deterministic under a fixed seed")
+		t.Error("qMKP not deterministic under a fixed seed")
 	}
 }
 
@@ -184,11 +185,11 @@ func TestQMKPWithClassicalBounds(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	for trial := 0; trial < 8; trial++ {
 		g := graph.Gnp(8, 0.5, rng.Int63())
-		plain, err := QMKP(g, 2, &GateOptions{Rng: rand.New(rand.NewSource(1))})
+		plain, err := SolveMKP(context.Background(), g, Spec{Algo: AlgoMKP, K: 2, Gate: &GateOptions{Rng: rand.New(rand.NewSource(1))}})
 		if err != nil {
 			t.Fatal(err)
 		}
-		bounded, err := QMKP(g, 2, &GateOptions{Rng: rand.New(rand.NewSource(1)), UseClassicalBounds: true})
+		bounded, err := SolveMKP(context.Background(), g, Spec{Algo: AlgoMKP, K: 2, Gate: &GateOptions{Rng: rand.New(rand.NewSource(1)), UseClassicalBounds: true}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -196,7 +197,7 @@ func TestQMKPWithClassicalBounds(t *testing.T) {
 			t.Fatalf("bounded size %d != plain %d", bounded.Size, plain.Size)
 		}
 		if !g.IsKPlex(bounded.Set, 2) {
-			t.Fatalf("bounded QMKP returned non-2-plex %v", bounded.Set)
+			t.Fatalf("bounded qMKP returned non-2-plex %v", bounded.Set)
 		}
 		// The narrowed window cannot need more probes than the full one
 		// (it may still spend comparable oracle calls inside a probe).
@@ -218,11 +219,11 @@ func TestQMKPFastPathBitIdenticalToCircuit(t *testing.T) {
 		n := 6 + rng.Intn(3)
 		g := graph.Gnp(n, 0.45, rng.Int63())
 		for _, qc := range []bool{false, true} {
-			fast, err := QMKP(g, 2, &GateOptions{Rng: rand.New(rand.NewSource(9)), QuantumCounting: qc})
+			fast, err := SolveMKP(context.Background(), g, Spec{Algo: AlgoMKP, K: 2, Gate: &GateOptions{Rng: rand.New(rand.NewSource(9)), QuantumCounting: qc}})
 			if err != nil {
 				t.Fatal(err)
 			}
-			circ, err := QMKP(g, 2, &GateOptions{Rng: rand.New(rand.NewSource(9)), QuantumCounting: qc, DisableFastPath: true})
+			circ, err := SolveMKP(context.Background(), g, Spec{Algo: AlgoMKP, K: 2, Gate: &GateOptions{Rng: rand.New(rand.NewSource(9)), QuantumCounting: qc, DisableFastPath: true}})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -257,11 +258,11 @@ func TestQMKPFastPathBitIdenticalToCircuit(t *testing.T) {
 
 func TestQTKPFastPathBitIdenticalToCircuit(t *testing.T) {
 	g := graph.Gnm(8, 14, 5)
-	fast, err := QTKP(g, 2, 3, &GateOptions{Rng: rand.New(rand.NewSource(4))})
+	fast, err := SolveTKP(context.Background(), g, Spec{Algo: AlgoTKP, K: 2, T: 3, Gate: &GateOptions{Rng: rand.New(rand.NewSource(4))}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	circ, err := QTKP(g, 2, 3, &GateOptions{Rng: rand.New(rand.NewSource(4)), DisableFastPath: true})
+	circ, err := SolveTKP(context.Background(), g, Spec{Algo: AlgoTKP, K: 2, T: 3, Gate: &GateOptions{Rng: rand.New(rand.NewSource(4)), DisableFastPath: true}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,13 +3,12 @@ package core
 import "errors"
 
 // Sentinel errors of the solver API. Every error returned by the Solve
-// entry points (and the compatibility wrappers) wraps exactly one of
-// these — or comes from a lower layer unchanged — so callers branch
-// with errors.Is instead of string matching, and cmd/qmkp maps each to
-// a distinct exit code.
+// entry points wraps exactly one of these — or comes from a lower layer
+// unchanged — so callers branch with errors.Is instead of string
+// matching, and cmd/qmkp maps each to a distinct exit code.
 var (
 	// ErrBadSpec marks an invalid solve request: empty graph, k or T
-	// out of range, unknown algorithm or sampler.
+	// out of range (CheckRange), penalty R ≤ 1, unknown algorithm.
 	ErrBadSpec = errors.New("core: bad solve spec")
 
 	// ErrTooLarge marks an instance past a size cap: the gate-model
@@ -19,7 +18,7 @@ var (
 	// annealing and branch-and-bound paths have no cap of their own.
 	ErrTooLarge = errors.New("core: instance too large")
 
-	// ErrInfeasible marks a QTKP probe that verified absence: no
+	// ErrInfeasible marks a qTKP probe that verified absence: no
 	// k-plex of size ≥ T exists. The TKPResult alongside it still
 	// carries the full cost accounting of the probe.
 	ErrInfeasible = errors.New("core: no k-plex of the requested size")

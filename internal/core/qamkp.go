@@ -1,16 +1,7 @@
 package core
 
-import (
-	"context"
-	"fmt"
-
-	"repro/internal/embedding"
-	"repro/internal/graph"
-	"repro/internal/qubo"
-)
-
-// AnnealOptions tunes QAMKP (Algorithm 4). Zero values select the paper's
-// defaults (R = 2, Δt = 1, annealing on the logical problem).
+// AnnealOptions tunes qaMKP (Algorithm 4). Zero values select the paper's
+// defaults (R = 2, Δt = 1).
 type AnnealOptions struct {
 	// R is the penalty strength; must exceed 1 (Section IV-B3). The
 	// paper's experimentally best value, 2, is the default.
@@ -24,15 +15,6 @@ type AnnealOptions struct {
 	// DeltaT·Shots, exactly the paper's budget arithmetic. Default 100.
 	Shots int
 	Seed  int64
-	// Sampler selects the annealing backend: "sqa" (default; the QPU
-	// stand-in), "sa" (classical baseline), or "hybrid".
-	Sampler string
-	// Embed routes the QUBO through a minor embedding onto the modelled
-	// hardware graph before annealing — the full QPU pipeline with chain
-	// couplings and majority-vote unembedding.
-	Embed bool
-	// ChainStrength overrides the auto chain coupling when embedding.
-	ChainStrength float64
 }
 
 func (o *AnnealOptions) annealDefaults() AnnealOptions {
@@ -52,9 +34,6 @@ func (o *AnnealOptions) annealDefaults() AnnealOptions {
 	if out.Seed == 0 {
 		out.Seed = 1
 	}
-	if out.Sampler == "" {
-		out.Sampler = "sqa"
-	}
 	return out
 }
 
@@ -63,7 +42,7 @@ func (o *AnnealOptions) annealDefaults() AnnealOptions {
 // 1 µs anneal is a complete, if fast, evolution, not a single sweep).
 const SweepsPerMicrosecond = 10
 
-// QAResult is the outcome of QAMKP.
+// QAResult is the outcome of qaMKP.
 type QAResult struct {
 	Set   []int // decoded vertex set of the best-cost assignment
 	Size  int
@@ -82,51 +61,4 @@ type QAResult struct {
 	// Model accounting (the paper's qubit-utilization story).
 	Variables int // n + slack bits
 	SlackVars int
-
-	// EmbedStats is set when Embed was requested.
-	EmbedStats *embedding.Stats
-}
-
-// QAMKP finds a (maximum) k-plex by quantum annealing on the QUBO
-// reformulation (Algorithm 4). Annealing is an anytime approximation: the
-// caller chooses the budget via DeltaT and Shots. It is SolveAnneal under
-// context.Background(); use SolveAnneal for cancellation with
-// best-over-completed-shots results and typed errors.
-func QAMKP(g *graph.Graph, k int, opt *AnnealOptions) (QAResult, error) {
-	return SolveAnneal(context.Background(), g, Spec{Algo: AlgoAnneal, K: k, Anneal: opt})
-}
-
-// cmrVariableLimit bounds the heuristic router: beyond this many logical
-// variables the CMR passes converge too slowly on a single core, so
-// EmbedOnHardware goes straight to the deterministic clique embedding (the
-// standard practice for dense problems on real annealers).
-const cmrVariableLimit = 120
-
-// EmbedOnHardware embeds the model into Chimera-class hardware (degree-10
-// cells, the Advantage-class connectivity of DESIGN.md): the CMR heuristic
-// on the smallest grid that accepts it, falling back to the deterministic
-// TRIAD clique embedding for large or stubbornly dense models.
-func EmbedOnHardware(m *qubo.Model, seed int64) (*embedding.Embedding, *embedding.Hardware, error) {
-	const cell = 8
-	if m.N() <= cmrVariableLimit {
-		for _, size := range []int{3, 4, 6, 8, 12, 16} {
-			hw := embedding.Chimera(size, cell)
-			// Need headroom over one qubit per variable; tight grids
-			// are tried first because they yield the shortest chains
-			// (and fail fast when too tight).
-			if hw.N < 2*m.N() {
-				continue
-			}
-			if emb, err := embedding.Embed(m, hw, seed); err == nil {
-				return emb, hw, nil
-			}
-		}
-	}
-	grid := embedding.CliqueGridFor(m.N(), cell)
-	hw := embedding.Chimera(grid, cell)
-	emb, err := embedding.CliqueEmbed(m.N(), hw)
-	if err != nil {
-		return nil, nil, fmt.Errorf("core: model with %d variables does not embed: %w", m.N(), err)
-	}
-	return emb, hw, nil
 }

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"repro/internal/anneal"
-	"repro/internal/embedding"
 	"repro/internal/graph"
 	"repro/internal/kplex"
 	"repro/internal/obs"
@@ -35,10 +34,11 @@ const (
 // annealing path has no such cap.
 const MaxGateVertices = 24
 
-// Spec is a solve request. Exactly the fields relevant to Algo are
-// consulted: K everywhere, T for AlgoTKP, Gate for the gate-model
-// algorithms, Anneal for AlgoAnneal. Obs carries the observability
-// subsystem; its zero value is inert and costs nothing.
+// Spec is a solve request. Each entry point reads only its own fields:
+// K everywhere, T in SolveTKP, Gate in SolveTKP and SolveMKP, Anneal in
+// SolveAnneal. Algo names the algorithm for the caller's bookkeeping; no
+// entry point reads it. Obs carries the observability subsystem; its zero
+// value is inert and costs nothing.
 type Spec struct {
 	Algo   Algo
 	K      int
@@ -48,16 +48,35 @@ type Spec struct {
 	Obs    obs.Obs
 }
 
-// gateSpecCheck validates the shared gate-model invariants and returns
-// the vertex count.
-func gateSpecCheck(g *graph.Graph, k int) (int, error) {
+// CheckRange is the range rule of the contributed algorithms on g: a
+// non-empty graph, 1 ≤ k ≤ n and, for qTKP, 1 ≤ T ≤ n. Every entry
+// point applies it first, naming its own algorithm; any other algo
+// passes unchecked. A caller that shrinks g before solving (cmd/qmkp's
+// co-pruning) applies it to the input graph, so the shrunken instance
+// is never asked a question the input would have refused.
+func CheckRange(g *graph.Graph, algo Algo, k, T int) error {
+	if algo != AlgoTKP && algo != AlgoMKP && algo != AlgoAnneal {
+		return nil
+	}
 	if g == nil || g.N() < 1 {
-		return 0, fmt.Errorf("core: empty graph: %w", ErrBadSpec)
+		return fmt.Errorf("core: empty graph: %w", ErrBadSpec)
 	}
 	n := g.N()
 	if k < 1 || k > n {
-		return 0, fmt.Errorf("core: k=%d out of range [1,%d]: %w", k, n, ErrBadSpec)
+		return fmt.Errorf("core: k=%d out of range [1,%d]: %w", k, n, ErrBadSpec)
 	}
+	if algo == AlgoTKP && (T < 1 || T > n) {
+		return fmt.Errorf("core: T=%d out of range [1,%d]: %w", T, n, ErrBadSpec)
+	}
+	return nil
+}
+
+// gateSpecCheck applies the range rule and the gate-model size cap.
+func gateSpecCheck(g *graph.Graph, algo Algo, k, T int) (int, error) {
+	if err := CheckRange(g, algo, k, T); err != nil {
+		return 0, err
+	}
+	n := g.N()
 	if n > MaxGateVertices {
 		return 0, fmt.Errorf("core: n=%d exceeds the %d-vertex gate-model cap: %w", n, MaxGateVertices, ErrTooLarge)
 	}
@@ -76,18 +95,14 @@ func canceled(algo Algo, err error) error {
 	return fmt.Errorf("%w (%s): %w", ErrCanceled, algo, err)
 }
 
-// SolveTKP runs QTKP (Algorithm 2) under a context: find a k-plex of
-// size ≥ spec.T or certify absence. Unlike the QTKP wrapper, a verified
-// absence returns the fully-accounted result alongside ErrInfeasible,
-// so "not found" and "found" are distinguishable without inspecting the
-// result struct.
+// SolveTKP runs qTKP (Algorithm 2) under a context: find a k-plex of
+// size ≥ spec.T or certify absence. A verified absence returns the
+// fully-accounted result alongside ErrInfeasible, so "not found" and
+// "found" are distinguishable without inspecting the result struct.
 func SolveTKP(ctx context.Context, g *graph.Graph, spec Spec) (TKPResult, error) {
-	n, err := gateSpecCheck(g, spec.K)
+	n, err := gateSpecCheck(g, AlgoTKP, spec.K, spec.T)
 	if err != nil {
 		return TKPResult{}, err
-	}
-	if spec.T < 1 || spec.T > n {
-		return TKPResult{}, fmt.Errorf("core: T=%d out of range [1,%d]: %w", spec.T, n, ErrBadSpec)
 	}
 	o := spec.Gate.withDefaults(n)
 	start := time.Now()
@@ -122,13 +137,13 @@ func SolveTKP(ctx context.Context, g *graph.Graph, spec Spec) (TKPResult, error)
 	return res, nil
 }
 
-// SolveMKP runs QMKP (Algorithm 3) under a context: binary search for a
+// SolveMKP runs qMKP (Algorithm 3) under a context: binary search for a
 // maximum k-plex. The context is checked at every probe boundary and
 // inside each probe's Grover try loop; on cancellation the result holds
 // everything the completed probes established (best set, progress
 // stream, cost accounting) alongside ErrCanceled.
 func SolveMKP(ctx context.Context, g *graph.Graph, spec Spec) (MKPResult, error) {
-	n, err := gateSpecCheck(g, spec.K)
+	n, err := gateSpecCheck(g, AlgoMKP, spec.K, 0)
 	if err != nil {
 		return MKPResult{}, err
 	}
@@ -153,7 +168,7 @@ func SolveMKP(ctx context.Context, g *graph.Graph, spec Spec) (MKPResult, error)
 	// finish stamps the run-level accounting; called on every exit path
 	// so cancelled runs report what they did complete.
 	finish := func() {
-		out.QPUTime = time.Duration(out.Gates) * o.GateLatency
+		out.QPUTime = time.Duration(out.Gates) * GateLatency
 		out.WallTime = time.Since(start)
 		out.ErrorProbability = missProb
 		if mx != nil {
@@ -224,7 +239,7 @@ func SolveMKP(ctx context.Context, g *graph.Graph, spec Spec) (MKPResult, error)
 			T:          T,
 			Found:      probe.Found,
 			CumGates:   out.Gates,
-			CumQPUTime: time.Duration(out.Gates) * o.GateLatency,
+			CumQPUTime: time.Duration(out.Gates) * GateLatency,
 		}
 		if probe.Found {
 			pt.Size = len(probe.Set)
@@ -237,7 +252,7 @@ func SolveMKP(ctx context.Context, g *graph.Graph, spec Spec) (MKPResult, error)
 			// (Section V-A's error metric).
 			perTry := probe.ErrorProbability
 			p := 1.0
-			for i := 0; i < o.MaxTries; i++ {
+			for i := 0; i < MaxTries; i++ {
 				p *= perTry
 			}
 			missProb = 1 - (1-missProb)*(1-p)
@@ -263,16 +278,14 @@ func SolveMKP(ctx context.Context, g *graph.Graph, spec Spec) (MKPResult, error)
 	return out, nil
 }
 
-// SolveAnneal runs QAMKP (Algorithm 4) under a context: the QUBO
-// reformulation on the annealing substrate. Cancellation is honoured at
-// shot-batch boundaries; the best assignment over completed shots is
-// decoded and returned alongside ErrCanceled.
+// SolveAnneal runs qaMKP (Algorithm 4) under a context: the QUBO
+// reformulation annealed by anneal.SQA, the QPU stand-in, on the logical
+// model. Cancellation is honoured at shot-batch boundaries; the best
+// assignment over completed shots is decoded and returned alongside
+// ErrCanceled.
 func SolveAnneal(ctx context.Context, g *graph.Graph, spec Spec) (QAResult, error) {
-	if g == nil || g.N() < 1 {
-		return QAResult{}, fmt.Errorf("core: empty graph: %w", ErrBadSpec)
-	}
-	if spec.K < 1 || spec.K > g.N() {
-		return QAResult{}, fmt.Errorf("core: k=%d out of range [1,%d]: %w", spec.K, g.N(), ErrBadSpec)
+	if err := CheckRange(g, AlgoAnneal, spec.K, 0); err != nil {
+		return QAResult{}, err
 	}
 	o := spec.Anneal.annealDefaults()
 	if !(o.R > 1) { // NaN included
@@ -290,51 +303,22 @@ func SolveAnneal(ctx context.Context, g *graph.Graph, spec Spec) (QAResult, erro
 	var sp *obs.SpanHandle
 	if tr.Enabled() {
 		sp = tr.Start("qamkp", obs.Int("n", g.N()), obs.Int("k", spec.K),
-			obs.Str("sampler", o.Sampler), obs.Int("shots", o.Shots),
-			obs.Int("variables", out.Variables), obs.Bool("embed", o.Embed))
+			obs.Int("shots", o.Shots), obs.Int("variables", out.Variables))
 	}
 
 	var bestValid []int
-	onSample := func(x []bool, _ float64) {
-		set, valid := enc.DecodeValid(x)
-		if valid && len(set) > len(bestValid) {
-			bestValid = append([]int(nil), set...)
-		}
-	}
-	params := anneal.Params{
-		Shots:    o.Shots,
-		Sweeps:   o.DeltaT * SweepsPerMicrosecond,
-		Seed:     o.Seed,
-		OnSample: onSample,
-		Obs:      spec.Obs,
-	}
-	var res anneal.Result
-	var runErr error
-	switch {
-	case o.Embed:
-		emb, _, err := EmbedOnHardware(enc.Model, o.Seed)
-		if err != nil {
-			sp.End()
-			return QAResult{}, err
-		}
-		stats := emb.Stats()
-		out.EmbedStats = &stats
-		res, runErr = embedding.SampleEmbeddedCtx(ctx, enc.Model, emb, o.ChainStrength, params)
-	case o.Sampler == "sqa":
-		res, runErr = anneal.SQACtx(ctx, enc.Model, params)
-	case o.Sampler == "sa":
-		res, runErr = anneal.SACtx(ctx, enc.Model, params)
-	case o.Sampler == "hybrid":
-		var h anneal.HybridResult
-		h, runErr = anneal.HybridCtx(ctx, enc.Model, anneal.HybridParams{Seed: o.Seed, Obs: spec.Obs})
-		res = anneal.Result{Best: h.Best}
-		if h.Best.X != nil {
-			res.BestAfterShot = []float64{h.Best.Energy}
-		}
-	default:
-		sp.End()
-		return QAResult{}, fmt.Errorf("core: unknown sampler %q: %w", o.Sampler, ErrBadSpec)
-	}
+	res, runErr := anneal.SQA(ctx, enc.Model, anneal.Params{
+		Shots:  o.Shots,
+		Sweeps: o.DeltaT * SweepsPerMicrosecond,
+		Seed:   o.Seed,
+		OnSample: func(x []bool, _ float64) {
+			set, valid := enc.DecodeValid(x)
+			if valid && len(set) > len(bestValid) {
+				bestValid = append([]int(nil), set...)
+			}
+		},
+		Obs: spec.Obs,
+	})
 	if runErr != nil && !isCtxErr(runErr) {
 		sp.End()
 		return QAResult{}, runErr
@@ -347,8 +331,8 @@ func SolveAnneal(ctx context.Context, g *graph.Graph, spec Spec) (QAResult, erro
 	if res.Best.X != nil {
 		out.Set, out.Valid = enc.DecodeValid(res.Best.X)
 		out.Size = len(out.Set)
-		if set, valid := enc.DecodeValid(res.Best.X); valid && len(set) > len(bestValid) {
-			bestValid = set
+		if out.Valid && out.Size > len(bestValid) {
+			bestValid = append([]int(nil), out.Set...)
 		}
 	}
 	out.BestValidSet = bestValid

@@ -5,7 +5,6 @@ import (
 	"context"
 	"errors"
 	"math/rand"
-	"reflect"
 	"runtime"
 	"strings"
 	"sync/atomic"
@@ -69,10 +68,6 @@ func TestSolveBadSpecSentinels(t *testing.T) {
 		{"k too large", func() error { _, err := SolveMKP(ctx, g, Spec{Algo: AlgoMKP, K: 7}); return err }, ErrBadSpec},
 		{"T too small", func() error { _, err := SolveTKP(ctx, g, Spec{Algo: AlgoTKP, K: 2, T: 0}); return err }, ErrBadSpec},
 		{"T too large", func() error { _, err := SolveTKP(ctx, g, Spec{Algo: AlgoTKP, K: 2, T: 7}); return err }, ErrBadSpec},
-		{"unknown sampler", func() error {
-			_, err := SolveAnneal(ctx, g, Spec{Algo: AlgoAnneal, K: 2, Anneal: &AnnealOptions{Sampler: "bogus"}})
-			return err
-		}, ErrBadSpec},
 		{"penalty R at most 1", func() error {
 			_, err := SolveAnneal(ctx, g, Spec{Algo: AlgoAnneal, K: 2, Anneal: &AnnealOptions{R: 1}})
 			return err
@@ -101,12 +96,6 @@ func TestSolveTKPInfeasibleSentinel(t *testing.T) {
 	}
 	if res.Gates == 0 || res.OracleCalls == 0 {
 		t.Errorf("absence probe reported no cost (gates=%d, oracle calls=%d); a real run pays the full schedule", res.Gates, res.OracleCalls)
-	}
-	// The compatibility wrapper keeps the original convention: verified
-	// absence is (Found=false, nil error).
-	wres, werr := QTKP(g, 2, 5, nil)
-	if werr != nil || wres.Found {
-		t.Errorf("QTKP wrapper: got (found=%v, err=%v), want (false, nil)", wres.Found, werr)
 	}
 }
 
@@ -158,21 +147,6 @@ func TestSolveAnnealCancelMidShots(t *testing.T) {
 	counters, _ := mx.Snapshot()
 	if done := counters["anneal.sqa.shots"]; done >= shots {
 		t.Errorf("all %d shots completed despite cancellation (counter %d)", shots, done)
-	}
-}
-
-func TestSolveWrapperEquivalence(t *testing.T) {
-	g := graph.Gnm(9, 15, 3)
-	wrapped, werr := QMKP(g, 2, &GateOptions{Rng: rand.New(rand.NewSource(7))})
-	direct, derr := SolveMKP(context.Background(), g, Spec{
-		Algo: AlgoMKP, K: 2, Gate: &GateOptions{Rng: rand.New(rand.NewSource(7))},
-	})
-	if werr != nil || derr != nil {
-		t.Fatalf("errors: wrapper %v, direct %v", werr, derr)
-	}
-	wrapped.WallTime, direct.WallTime = 0, 0
-	if !reflect.DeepEqual(wrapped, direct) {
-		t.Errorf("QMKP and SolveMKP disagree for the same seed:\nwrapper: %+v\ndirect:  %+v", wrapped, direct)
 	}
 }
 

@@ -60,6 +60,41 @@ func Embed(m *qubo.Model, hw *Hardware, seed int64) (*Embedding, error) {
 	return nil, fmt.Errorf("embedding: all %d attempts failed, last: %w", restarts, lastErr)
 }
 
+// cmrVariableLimit bounds the heuristic router: beyond this many logical
+// variables the CMR passes converge too slowly on a single core, so
+// EmbedOnHardware goes straight to the deterministic clique embedding (the
+// standard practice for dense problems on real annealers).
+const cmrVariableLimit = 120
+
+// EmbedOnHardware embeds the model into Chimera-class hardware (degree-10
+// cells, the Advantage-class connectivity of DESIGN.md): the CMR heuristic
+// on the smallest grid that accepts it, falling back to the deterministic
+// TRIAD clique embedding for large or stubbornly dense models.
+func EmbedOnHardware(m *qubo.Model, seed int64) (*Embedding, *Hardware, error) {
+	const cell = 8
+	if m.N() <= cmrVariableLimit {
+		for _, size := range []int{3, 4, 6, 8, 12, 16} {
+			hw := Chimera(size, cell)
+			// Need headroom over one qubit per variable; tight grids
+			// are tried first because they yield the shortest chains
+			// (and fail fast when too tight).
+			if hw.N < 2*m.N() {
+				continue
+			}
+			if emb, err := Embed(m, hw, seed); err == nil {
+				return emb, hw, nil
+			}
+		}
+	}
+	grid := CliqueGridFor(m.N(), cell)
+	hw := Chimera(grid, cell)
+	emb, err := CliqueEmbed(m.N(), hw)
+	if err != nil {
+		return nil, nil, fmt.Errorf("embedding: model with %d variables does not embed: %w", m.N(), err)
+	}
+	return emb, hw, nil
+}
+
 // cmrState carries the router's working data.
 type cmrState struct {
 	hw      *Hardware

@@ -1,6 +1,7 @@
 package embedding
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/anneal"
@@ -188,7 +189,7 @@ func TestSampleEmbeddedSolvesSmallMKP(t *testing.T) {
 				bestSize = len(set)
 			}
 		}}
-	res, err := SampleEmbedded(enc.Model, e, 0, p)
+	res, err := SampleEmbedded(context.Background(), enc.Model, e, 0, p)
 	if err != nil {
 		t.Fatal(err)
 	}

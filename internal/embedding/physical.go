@@ -152,22 +152,12 @@ func (p *Physical) ChainBreakFraction(spins []int8) float64 {
 
 // SampleEmbedded anneals the physical Ising with the SQA sampler and
 // returns logical results — the full QPU pipeline: embed → anneal →
-// majority-vote unembed.
-//
-// SampleEmbedded is the legacy no-context wrapper over
-// SampleEmbeddedCtx — audited for errwrap (the error propagates
-// unchanged); ctxflow exempts the wrapper and flags ctx-holding callers
-// instead.
-func SampleEmbedded(m *qubo.Model, e *Embedding, chainStrength float64, params anneal.Params) (anneal.Result, error) {
-	return SampleEmbeddedCtx(context.Background(), m, e, chainStrength, params)
-}
-
-// SampleEmbeddedCtx is SampleEmbedded under a context: cancellation is
-// honoured at shot boundaries of the underlying SQA run.
-func SampleEmbeddedCtx(ctx context.Context, m *qubo.Model, e *Embedding, chainStrength float64, params anneal.Params) (anneal.Result, error) {
+// majority-vote unembed. Cancellation is honoured at shot boundaries of
+// the underlying SQA run.
+func SampleEmbedded(ctx context.Context, m *qubo.Model, e *Embedding, chainStrength float64, params anneal.Params) (anneal.Result, error) {
 	p, err := BuildPhysical(m, e, chainStrength)
 	if err != nil {
 		return anneal.Result{}, err
 	}
-	return anneal.RunEmbeddedIsingCtx(ctx, p.Ising, params, p.Unembed)
+	return anneal.RunEmbeddedIsing(ctx, p.Ising, params, p.Unembed)
 }

@@ -160,11 +160,11 @@ func costRuntimeFigure(id, dataset string, embed bool, cfg Config) (Result, erro
 	// qaMKP: SQA at Δt=1, cumulative µs = shot index.
 	var qaTrace []float64
 	if embed {
-		emb, _, err := core.EmbedOnHardware(enc.Model, cfg.seed())
+		emb, _, err := embedding.EmbedOnHardware(enc.Model, cfg.seed())
 		if err != nil {
 			return Result{}, err
 		}
-		res, err := embedding.SampleEmbedded(enc.Model, emb, 0,
+		res, err := embedding.SampleEmbedded(context.Background(), enc.Model, emb, 0,
 			anneal.Params{Shots: qaShots, Sweeps: core.SweepsPerMicrosecond, Seed: cfg.seed()})
 		if err != nil {
 			return Result{}, err
@@ -175,7 +175,7 @@ func costRuntimeFigure(id, dataset string, embed bool, cfg Config) (Result, erro
 			stats.Variables, stats.PhysicalQubits, stats.AvgChain))
 		qaTrace = res.BestAfterShot
 	} else {
-		res, err := anneal.SQA(enc.Model, anneal.Params{Shots: qaShots, Sweeps: core.SweepsPerMicrosecond, Seed: cfg.seed()})
+		res, err := anneal.SQA(context.Background(), enc.Model, anneal.Params{Shots: qaShots, Sweeps: core.SweepsPerMicrosecond, Seed: cfg.seed()})
 		if err != nil {
 			return Result{}, err
 		}
@@ -184,7 +184,7 @@ func costRuntimeFigure(id, dataset string, embed bool, cfg Config) (Result, erro
 	f.Series = append(f.Series, traceSeries("qaMKP (SQA, Δt=1µs)", qaTrace, 1))
 
 	// SA baseline: the paper fixes 2 sweeps per shot.
-	saRes, err := anneal.SA(enc.Model, anneal.Params{Shots: saShots, Sweeps: 2 * core.SweepsPerMicrosecond, Seed: cfg.seed()})
+	saRes, err := anneal.SA(context.Background(), enc.Model, anneal.Params{Shots: saShots, Sweeps: 2 * core.SweepsPerMicrosecond, Seed: cfg.seed()})
 	if err != nil {
 		return Result{}, err
 	}
@@ -208,7 +208,7 @@ func costRuntimeFigure(id, dataset string, embed bool, cfg Config) (Result, erro
 	}
 
 	// Hybrid: one point at its runtime contract.
-	h, err := anneal.Hybrid(enc.Model, anneal.HybridParams{MinRuntime: hybridFloor, Seed: cfg.seed()})
+	h, err := anneal.Hybrid(context.Background(), enc.Model, anneal.HybridParams{MinRuntime: hybridFloor, Seed: cfg.seed()})
 	if err != nil {
 		return Result{}, err
 	}

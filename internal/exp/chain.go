@@ -3,7 +3,7 @@ package exp
 import (
 	"fmt"
 
-	"repro/internal/core"
+	"repro/internal/embedding"
 	"repro/internal/graph"
 	"repro/internal/qubo"
 )
@@ -30,7 +30,7 @@ func Fig13(cfg Config) (Result, error) {
 		if err != nil {
 			return Result{}, fmt.Errorf("n=%d: %w", n, err)
 		}
-		emb, _, err := core.EmbedOnHardware(enc.Model, cfg.seed())
+		emb, _, err := embedding.EmbedOnHardware(enc.Model, cfg.seed())
 		if err != nil {
 			return Result{}, fmt.Errorf("n=%d: %w", n, err)
 		}

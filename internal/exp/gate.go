@@ -263,10 +263,11 @@ func Table4(cfg Config) (Result, error) {
 		if err != nil {
 			return Result{}, err
 		}
-		counts, err := core.OracleBreakdown(g, 2, opt.Size)
+		orc, err := oracle.BuildOpts(g, 2, opt.Size, oracle.Options{})
 		if err != nil {
 			return Result{}, err
 		}
+		counts := orc.ComponentGates()
 		// The three oracle parts of the paper's accounting; graph
 		// encoding is infrastructure shared by all of them.
 		total := counts[oracle.BlockDegreeCount] + counts[oracle.BlockDegreeCompare] + counts[oracle.BlockSizeCheck]

@@ -51,7 +51,7 @@ type Evaluator struct {
 }
 
 // New builds the evaluator for graph g (the original graph; the
-// complement is formed internally, mirroring oracle.Build). It refuses
+// complement is formed internally, mirroring oracle.BuildOpts). It refuses
 // an empty graph, k outside [1, n], and n > 64 (wrapping ErrTooLarge):
 // a subset mask is one word.
 func New(g *graph.Graph, k int) (*Evaluator, error) {

@@ -266,23 +266,13 @@ type Result struct {
 // optimal count, measure, verify classically. If the measurement misses
 // (the inherent error probability of the paper's Section V-A), it retries
 // up to maxTries times, accumulating cost. maxTries ≤ 0 means 3.
-//
-// Search is the legacy no-context wrapper over SearchObs: ctxflow
-// exempts it by the recognized wrapper pattern and instead flags any
-// ctx-holding caller, steering them to SearchObs directly.
-func Search(n int, pred Predicate, m int, gatesPerOracle int64, maxTries int, rng *rand.Rand) Result {
-	res, _ := SearchObs(context.Background(), n, pred, m, gatesPerOracle, maxTries, rng, obs.Obs{}) //lint:allow errwrap the only error SearchObs returns wraps ctx.Err, which context.Background never produces
-	return res
-}
-
-// SearchObs is Search under a context and the observability carrier.
 // Cancellation is checked at try boundaries — an iteration batch is
 // never abandoned half way, so the accumulated Stats stay
 // meaningful — and reported by wrapping ctx.Err(). Each try emits one
 // span carrying the iteration count and, on End, the measured mask and
 // verification outcome; emission happens on the calling goroutine, so
 // sequence numbers are deterministic.
-func SearchObs(ctx context.Context, n int, pred Predicate, m int, gatesPerOracle int64, maxTries int, rng *rand.Rand, o obs.Obs) (Result, error) {
+func Search(ctx context.Context, n int, pred Predicate, m int, gatesPerOracle int64, maxTries int, rng *rand.Rand, o obs.Obs) (Result, error) {
 	if maxTries <= 0 {
 		maxTries = 3
 	}

@@ -1,10 +1,12 @@
 package grover
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
 
+	"repro/internal/obs"
 	"repro/internal/parallel"
 )
 
@@ -42,7 +44,10 @@ func TestIterationAmplification(t *testing.T) {
 
 func TestSearchFindsSingleTarget(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	res := Search(6, singleMarked(54), 1, 1000, 3, rng)
+	res, err := Search(context.Background(), 6, singleMarked(54), 1, 1000, 3, rng, obs.Obs{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !res.Found || res.Mask != 54 {
 		t.Fatalf("Search failed: %+v", res)
 	}
@@ -63,7 +68,10 @@ func TestSearchManySolutions(t *testing.T) {
 	// M = 16 of 64: one iteration suffices (⌊π/4·√4⌋ = 1).
 	pred := func(m uint64) bool { return m%4 == 0 }
 	rng := rand.New(rand.NewSource(2))
-	res := Search(6, pred, 16, 10, 3, rng)
+	res, err := Search(context.Background(), 6, pred, 16, 10, 3, rng, obs.Obs{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !res.Found {
 		t.Fatalf("Search failed with many solutions: %+v", res)
 	}
@@ -74,7 +82,10 @@ func TestSearchManySolutions(t *testing.T) {
 
 func TestSearchNoSolutions(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	res := Search(5, func(uint64) bool { return false }, 0, 10, 2, rng)
+	res, err := Search(context.Background(), 5, func(uint64) bool { return false }, 0, 10, 2, rng, obs.Obs{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if res.Found {
 		t.Error("Search claimed success with empty solution set")
 	}

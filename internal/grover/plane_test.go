@@ -1,12 +1,14 @@
 package grover
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"runtime"
 	"slices"
 	"testing"
 
+	"repro/internal/obs"
 	"repro/internal/qsim"
 )
 
@@ -53,7 +55,7 @@ func (e *denseEngine) successProbability() float64 {
 	return p
 }
 
-// denseSearch is SearchObs's try loop over the dense reference.
+// denseSearch is Search's try loop over the dense reference.
 func denseSearch(n int, pred Predicate, m int, gatesPerOracle int64, maxTries int, rng *rand.Rand) Result {
 	e := newDenseEngine(n, pred, gatesPerOracle)
 	iters := OptimalIterations(n, m)
@@ -142,7 +144,10 @@ func TestPlaneSearchMatchesDense(t *testing.T) {
 			sched := max(m, 1)
 			for seed := int64(0); seed < 2; seed++ {
 				gates := int64(100 + n)
-				got := Search(n, pred, sched, gates, 3, rand.New(rand.NewSource(seed)))
+				got, err := Search(context.Background(), n, pred, sched, gates, 3, rand.New(rand.NewSource(seed)), obs.Obs{})
+				if err != nil {
+					t.Fatal(err)
+				}
 				want := denseSearch(n, pred, sched, gates, 3, rand.New(rand.NewSource(seed)))
 				if got.Mask != want.Mask || got.Found != want.Found || got.Stats != want.Stats {
 					t.Fatalf("n=%d M=%d seed=%d: plane %+v, dense %+v", n, m, seed, got, want)

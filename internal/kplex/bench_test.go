@@ -49,7 +49,7 @@ func BenchmarkBBEndToEnd(b *testing.B) {
 		})
 		b.Run(name+"/kernel", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := kplex.BB(g, k); err != nil {
+				if _, err := kplex.BBOpt(context.Background(), g, k, kplex.BBOptions{}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -59,7 +59,7 @@ func BenchmarkBBEndToEnd(b *testing.B) {
 				prev := parallel.SetWorkers(w)
 				defer parallel.SetWorkers(prev)
 				for i := 0; i < b.N; i++ {
-					if _, err := kplex.BB(g, k); err != nil {
+					if _, err := kplex.BBOpt(context.Background(), g, k, kplex.BBOptions{}); err != nil {
 						b.Fatal(err)
 					}
 				}

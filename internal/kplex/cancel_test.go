@@ -37,7 +37,7 @@ func TestBBOptPreCanceled(t *testing.T) {
 // through the kernel pipeline must not perturb the deterministic result.
 func TestBBOptCtxMatchesBackground(t *testing.T) {
 	g := graph.Gnm(36, 180, 11)
-	want, err := kplex.BB(g, 2)
+	want, err := kplex.BBOpt(context.Background(), g, 2, kplex.BBOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

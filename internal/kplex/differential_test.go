@@ -35,7 +35,7 @@ func TestBBMILPDifferential(t *testing.T) {
 		var base kplex.Result
 		for i, w := range []int{1, 2, 8} {
 			prev := parallel.SetWorkers(w)
-			res, err := kplex.BB(g, k)
+			res, err := kplex.BBOpt(context.Background(), g, k, kplex.BBOptions{})
 			parallel.SetWorkers(prev)
 			if err != nil {
 				t.Fatalf("trial %d: BB: %v", trial, err)
@@ -65,7 +65,7 @@ func TestBBMILPDifferential(t *testing.T) {
 		size := 5 + rng.Intn(2)
 		perm := rng.Perm(n)[:size]
 		sub, _ := g.InducedSubgraph(perm)
-		subRes, err := kplex.BB(sub, k)
+		subRes, err := kplex.BBOpt(context.Background(), sub, k, kplex.BBOptions{})
 		if err != nil {
 			t.Fatalf("trial %d: sub BB: %v", trial, err)
 		}
@@ -103,7 +103,7 @@ func TestBBKernelMatchesRaw(t *testing.T) {
 			g = graph.Gnm(30+rng.Intn(60), 100+rng.Intn(200), rng.Int63())
 		}
 		k := 1 + rng.Intn(3)
-		kern, err := kplex.BB(g, k)
+		kern, err := kplex.BBOpt(context.Background(), g, k, kplex.BBOptions{})
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}

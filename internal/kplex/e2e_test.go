@@ -34,7 +34,7 @@ func TestGnm100SolvesPastMaskWall(t *testing.T) {
 	g := loadGnm100(t)
 	wantSize := map[int]int{1: 3, 2: 5, 3: 6}
 	for k := 1; k <= 3; k++ {
-		res, err := kplex.BB(g, k)
+		res, err := kplex.BBOpt(context.Background(), g, k, kplex.BBOptions{})
 		if err != nil {
 			t.Fatalf("k=%d: %v", k, err)
 		}
@@ -63,7 +63,7 @@ func TestGnm100BranchBoundMatchesMILP(t *testing.T) {
 		perm := rng.Perm(g.N())[:size]
 		sub, _ := g.InducedSubgraph(perm)
 		k := 1 + rng.Intn(3)
-		res, err := kplex.BB(sub, k)
+		res, err := kplex.BBOpt(context.Background(), sub, k, kplex.BBOptions{})
 		if err != nil {
 			t.Fatalf("trial %d: BB: %v", trial, err)
 		}
@@ -120,7 +120,7 @@ func TestCheckedInInstancesSolveExactly(t *testing.T) {
 	} {
 		g := loadInstance(t, tc.file, tc.n, tc.m)
 		for k := 1; k <= 3; k++ {
-			res, err := kplex.BB(g, k)
+			res, err := kplex.BBOpt(context.Background(), g, k, kplex.BBOptions{})
 			if err != nil {
 				t.Fatalf("%s k=%d: %v", tc.file, k, err)
 			}
@@ -159,7 +159,7 @@ func TestCheckedInInstancesMatchMILP(t *testing.T) {
 			perm := rng.Perm(g.N())[:size]
 			sub, _ := g.InducedSubgraph(perm)
 			k := 1 + rng.Intn(3)
-			res, err := kplex.BB(sub, k)
+			res, err := kplex.BBOpt(context.Background(), sub, k, kplex.BBOptions{})
 			if err != nil {
 				t.Fatalf("%s trial %d: BB: %v", tc.file, trial, err)
 			}

@@ -203,8 +203,8 @@ func (st *bsState) search(cand []int) {
 	st.depth--
 }
 
-// BBOptions tunes the exact BB pipeline. The zero value is BB's
-// behaviour: kernelization on, no observability.
+// BBOptions tunes the exact pipeline. The zero value runs it with
+// kernelization on and no observability.
 type BBOptions struct {
 	// Obs carries the observability subsystem: a kplex.bb span over the
 	// solve, reduce.peeled / reduce.kernel_n / fastoracle.bb.nodes
@@ -217,11 +217,6 @@ type BBOptions struct {
 	// covers it — the A/B baseline for the kernel-shrink benchmarks and
 	// the differential tests. Same answers, more nodes.
 	DisableKernel bool
-}
-
-// BB is BBOpt under a background context with default options.
-func BB(g *graph.Graph, k int) (Result, error) {
-	return BBOpt(context.Background(), g, k, BBOptions{})
 }
 
 // BBOpt is the exact classical entry point. It finds a maximum k-plex

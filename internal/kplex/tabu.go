@@ -13,50 +13,37 @@ import (
 // run only by cmd/qmkp's -algo tabu: the reductions and qMKP's bounded
 // binary search take their lower bound from Greedy.
 
-// TabuOptions tunes the search. The zero value selects usable defaults.
-type TabuOptions struct {
-	Iterations int   // total moves (default 2000)
-	Tenure     int   // tabu tenure in moves (default 7)
-	Restarts   int   // independent restarts (default 4)
-	Seed       int64 // RNG seed (default 1)
-}
-
-func (o TabuOptions) withDefaults() TabuOptions {
-	if o.Iterations <= 0 {
-		o.Iterations = 2000
-	}
-	if o.Tenure <= 0 {
-		o.Tenure = 7
-	}
-	if o.Restarts <= 0 {
-		o.Restarts = 4
-	}
-	if o.Seed == 0 {
-		o.Seed = 1
-	}
-	return o
-}
+// The search's fixed budget: tabuIterations moves in total, shared
+// evenly by tabuRestarts independent restarts, and a dropped vertex stays
+// tabu for tabuTenure moves.
+const (
+	tabuIterations = 2000
+	tabuTenure     = 7
+	tabuRestarts   = 4
+)
 
 // TabuSearch looks for a large k-plex by add/drop moves with a recency
 // tabu list: add moves keep the k-plex invariant; when no addition is
 // possible the least-connected member is dropped (and made tabu) to
 // escape the plateau. Returns the best k-plex found (possibly empty for
-// an empty graph). Deterministic under a fixed seed.
-func TabuSearch(g *graph.Graph, k int, opt TabuOptions) []int {
-	o := opt.withDefaults()
+// an empty graph). Deterministic under a fixed seed; seed 0 runs as 1.
+func TabuSearch(g *graph.Graph, k int, seed int64) []int {
+	if seed == 0 {
+		seed = 1
+	}
 	n := g.N()
 	if n == 0 || k < 1 {
 		return nil
 	}
-	rng := rand.New(rand.NewSource(o.Seed))
+	rng := rand.New(rand.NewSource(seed))
 	var best []int
-	for restart := 0; restart < o.Restarts; restart++ {
+	for restart := 0; restart < tabuRestarts; restart++ {
 		cur := []int{rng.Intn(n)}
 		if len(best) == 0 {
 			best = append(best[:0:0], cur...)
 		}
 		tabuUntil := make([]int, n)
-		for it := 1; it <= o.Iterations/o.Restarts; it++ {
+		for it := 1; it <= tabuIterations/tabuRestarts; it++ {
 			// Best non-tabu addition: maximise connectivity into cur.
 			addV, addGain := -1, -1
 			for v := 0; v < n; v++ {
@@ -100,7 +87,7 @@ func TabuSearch(g *graph.Graph, k int, opt TabuOptions) []int {
 			}
 			v := cur[dropIdx]
 			cur = append(cur[:dropIdx], cur[dropIdx+1:]...)
-			tabuUntil[v] = it + o.Tenure
+			tabuUntil[v] = it + tabuTenure
 		}
 	}
 	sort.Ints(best)

@@ -12,7 +12,7 @@ func TestTabuReturnsValidKPlex(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
 		g := graph.Gnp(12, 0.2+rng.Float64()*0.6, rng.Int63())
 		for k := 1; k <= 3; k++ {
-			set := TabuSearch(g, k, TabuOptions{Seed: rng.Int63()})
+			set := TabuSearch(g, k, rng.Int63())
 			if !g.IsKPlex(set, k) {
 				t.Fatalf("tabu returned non-%d-plex %v", k, set)
 			}
@@ -26,7 +26,7 @@ func TestTabuAtLeastGreedyOnPlanted(t *testing.T) {
 	for seed := int64(1); seed <= 10; seed++ {
 		g, _ := graph.PlantedKPlex(16, 9, 2, 0.15, seed)
 		greedy := Greedy(g, 2)
-		tabu := TabuSearch(g, 2, TabuOptions{Seed: seed})
+		tabu := TabuSearch(g, 2, seed)
 		switch {
 		case len(tabu) > len(greedy):
 			wins++
@@ -49,7 +49,7 @@ func TestTabuFindsOptimumOnSmallGraphs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		set := TabuSearch(g, 2, TabuOptions{Seed: rng.Int63(), Iterations: 4000})
+		set := TabuSearch(g, 2, rng.Int63())
 		if len(set) == opt.Size {
 			hits++
 		}
@@ -61,8 +61,8 @@ func TestTabuFindsOptimumOnSmallGraphs(t *testing.T) {
 
 func TestTabuDeterministicUnderSeed(t *testing.T) {
 	g := graph.Gnm(14, 40, 5)
-	a := TabuSearch(g, 2, TabuOptions{Seed: 9})
-	b := TabuSearch(g, 2, TabuOptions{Seed: 9})
+	a := TabuSearch(g, 2, 9)
+	b := TabuSearch(g, 2, 9)
 	if len(a) != len(b) {
 		t.Fatalf("tabu nondeterministic: %v vs %v", a, b)
 	}
@@ -74,14 +74,14 @@ func TestTabuDeterministicUnderSeed(t *testing.T) {
 }
 
 func TestTabuEdgeCases(t *testing.T) {
-	if set := TabuSearch(graph.New(0), 2, TabuOptions{}); set != nil {
+	if set := TabuSearch(graph.New(0), 2, 0); set != nil {
 		t.Errorf("empty graph returned %v", set)
 	}
-	if set := TabuSearch(graph.New(3), 0, TabuOptions{}); set != nil {
+	if set := TabuSearch(graph.New(3), 0, 0); set != nil {
 		t.Errorf("k=0 returned %v", set)
 	}
 	// Single vertex.
-	set := TabuSearch(graph.New(1), 1, TabuOptions{})
+	set := TabuSearch(graph.New(1), 1, 0)
 	if len(set) != 1 {
 		t.Errorf("singleton graph: %v", set)
 	}

@@ -1,6 +1,6 @@
 // Package obs is the solver stack's deterministic observability layer:
 // a span/event tracer that records the qMKP probe tree (binary-search
-// probe → QTKP tries → Grover iterations → oracle sweeps) and anneal
+// probe → qTKP tries → Grover iterations → oracle sweeps) and anneal
 // shot batches, plus a counter/gauge registry exposed via expvar and a
 // JSON dump.
 //

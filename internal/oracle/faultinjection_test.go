@@ -14,7 +14,7 @@ import (
 
 func TestStrictDetectsBrokenUncompute(t *testing.T) {
 	g := graph.Example6()
-	o, err := Build(g, 2, 4)
+	o, err := BuildOpts(g, 2, 4, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,7 +36,7 @@ func TestStrictDetectsBrokenUncompute(t *testing.T) {
 
 func TestStrictDetectsCorruptedVertexRegister(t *testing.T) {
 	g := graph.Example6()
-	o, err := Build(g, 2, 4)
+	o, err := BuildOpts(g, 2, 4, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +56,7 @@ func TestStrictDetectsCorruptedVertexRegister(t *testing.T) {
 
 func TestStrictDetectsPredicateOutputMismatch(t *testing.T) {
 	g := graph.Example6()
-	o, err := Build(g, 2, 4)
+	o, err := BuildOpts(g, 2, 4, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,8 +79,8 @@ func TestStrictDetectsPredicateOutputMismatch(t *testing.T) {
 // no-op refactors of the tests above).
 func TestSabotageActuallyChangesCircuit(t *testing.T) {
 	g := graph.Example6()
-	a, _ := Build(g, 2, 4)
-	b, _ := Build(g, 2, 4)
+	a, _ := BuildOpts(g, 2, 4, Options{})
+	b, _ := BuildOpts(g, 2, 4, Options{})
 	b.circuit.X(b.outQ)
 	if a.circuit.Len() == b.circuit.Len() {
 		t.Fatal("sabotage emitted no gate")

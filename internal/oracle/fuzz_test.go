@@ -50,7 +50,7 @@ func FuzzFastOracle(f *testing.F) {
 		}
 		kk := int(k)%nn + 1
 		TT := int(T)%nn + 1
-		circuit, err := Build(g, kk, TT)
+		circuit, err := BuildOpts(g, kk, TT, Options{})
 		if err != nil {
 			t.Fatalf("circuit build n=%d k=%d T=%d: %v", nn, kk, TT, err)
 		}

@@ -76,17 +76,14 @@ type Options struct {
 	// multi-controlled increments — the ablation of DESIGN.md §5.
 	CompactCounting bool
 
-	// Strict makes Build verify the auxiliary-qubit reset contract on a
-	// sample of basis states before returning: U_check, oracle flip and
-	// U_check† are executed end to end and every ancilla must come back
-	// to |0> with the vertex register intact (the paper's "U† employs the
-	// same gates as U" reset requirement). Costs a few dozen full oracle
-	// evaluations at build time.
+	// Strict makes BuildOpts verify the auxiliary-qubit reset contract
+	// on the corner and single-vertex states plus strictSampleBudget
+	// sampled basis states before returning: U_check, oracle flip and U_check† are executed
+	// end to end and every ancilla must come back to |0> with the vertex
+	// register intact (the paper's "U† employs the same gates as U"
+	// reset requirement). Costs a few dozen full oracle evaluations at
+	// build time.
 	Strict bool
-
-	// StrictSamples bounds the number of sampled basis states in strict
-	// mode (0 means the default of strictSampleBudget).
-	StrictSamples int
 
 	// Metrics, when non-nil, receives bulk evaluation counters from
 	// every TruthTable sweep ("oracle.evals.fast" vs
@@ -105,18 +102,14 @@ type Options struct {
 	FastPath bool
 }
 
-// strictSampleBudget is the default number of basis states strict mode
-// exercises beyond the always-checked corners.
+// strictSampleBudget is the number of basis states strict mode exercises
+// beyond the always-checked corners.
 const strictSampleBudget = 24
 
-// Build compiles the oracle for graph g (the original graph; the
+// BuildOpts compiles the oracle for graph g (the original graph; the
 // complement is formed internally, following the paper's reduction of
-// k-plex to k-cplex). T is the size threshold.
-func Build(g *graph.Graph, k, T int) (*Oracle, error) {
-	return BuildOpts(g, k, T, Options{})
-}
-
-// BuildOpts is Build with construction variants.
+// k-plex to k-cplex) with the construction variants of opts. T is the
+// size threshold.
 func BuildOpts(g *graph.Graph, k, T int, opts Options) (*Oracle, error) {
 	n := g.N()
 	if n < 1 {
@@ -238,11 +231,7 @@ func BuildOpts(g *graph.Graph, k, T int, opts Options) (*Oracle, error) {
 		o.fast = fast
 	}
 	if opts.Strict {
-		samples := opts.StrictSamples
-		if samples <= 0 {
-			samples = strictSampleBudget
-		}
-		if err := o.VerifyResetContract(samples); err != nil {
+		if err := o.VerifyResetContract(strictSampleBudget); err != nil {
 			return nil, err
 		}
 	}

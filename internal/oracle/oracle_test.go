@@ -12,7 +12,7 @@ import (
 func TestOracleMatchesClassicalPredicateExample(t *testing.T) {
 	g := graph.Example6()
 	for _, tc := range []struct{ k, T int }{{2, 4}, {2, 3}, {1, 3}, {3, 4}, {2, 1}} {
-		o, err := Build(g, tc.k, tc.T)
+		o, err := BuildOpts(g, tc.k, tc.T, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -34,7 +34,7 @@ func TestOracleMatchesClassicalPredicateRandom(t *testing.T) {
 		g := graph.Gnp(n, 0.5, rng.Int63())
 		k := 1 + rng.Intn(3)
 		T := 1 + rng.Intn(n)
-		o, err := Build(g, k, T)
+		o, err := BuildOpts(g, k, T, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -51,7 +51,7 @@ func TestOracleMatchesClassicalPredicateRandom(t *testing.T) {
 
 func TestMarkedStrictResetContract(t *testing.T) {
 	g := graph.Example6()
-	o, err := Build(g, 2, 4)
+	o, err := BuildOpts(g, 2, 4, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +87,7 @@ func TestComponentGateShares(t *testing.T) {
 	// share must grow with n (Table IV's observation: 77.5% → 88.6%).
 	share := func(n int) float64 {
 		g := graph.Gnm(n, n*(n-1)/4, 3)
-		o, err := Build(g, 2, 3)
+		o, err := BuildOpts(g, 2, 3, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -112,7 +112,7 @@ func TestOracleQubitComplexity(t *testing.T) {
 	// exceed the n=6 count scaled by (12²·log12)/(6²·log6) with slack.
 	q := func(n int) int {
 		g := graph.Gnm(n, n*(n-1)/4, 3)
-		o, err := Build(g, 2, 3)
+		o, err := BuildOpts(g, 2, 3, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -127,19 +127,19 @@ func TestOracleQubitComplexity(t *testing.T) {
 
 func TestBuildValidation(t *testing.T) {
 	g := graph.Example6()
-	if _, err := Build(g, 0, 3); err == nil {
+	if _, err := BuildOpts(g, 0, 3, Options{}); err == nil {
 		t.Error("k=0 accepted")
 	}
-	if _, err := Build(g, 2, 0); err == nil {
+	if _, err := BuildOpts(g, 2, 0, Options{}); err == nil {
 		t.Error("T=0 accepted")
 	}
-	if _, err := Build(g, 2, 7); err == nil {
+	if _, err := BuildOpts(g, 2, 7, Options{}); err == nil {
 		t.Error("T>n accepted")
 	}
-	if _, err := Build(g, 7, 3); err == nil {
+	if _, err := BuildOpts(g, 7, 3, Options{}); err == nil {
 		t.Error("k>n accepted")
 	}
-	if _, err := Build(graph.New(0), 1, 1); err == nil {
+	if _, err := BuildOpts(graph.New(0), 1, 1, Options{}); err == nil {
 		t.Error("empty graph accepted")
 	}
 }
@@ -148,7 +148,7 @@ func TestOracleEdgelessAndCompleteGraphs(t *testing.T) {
 	// Edgeless graph: complement is complete; a k-plex is any set of
 	// size ≤ k (every vertex has 0 neighbours, needs ≥ |P|-k).
 	edgeless := graph.New(5)
-	o, err := Build(edgeless, 2, 2)
+	o, err := BuildOpts(edgeless, 2, 2, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +170,7 @@ func TestOracleEdgelessAndCompleteGraphs(t *testing.T) {
 			complete.AddEdge(u, v)
 		}
 	}
-	o2, err := Build(complete, 1, 3)
+	o2, err := BuildOpts(complete, 1, 3, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +184,7 @@ func TestOracleEdgelessAndCompleteGraphs(t *testing.T) {
 
 func TestTotalGatesDoublesForUncompute(t *testing.T) {
 	g := graph.Example6()
-	o, err := Build(g, 2, 4)
+	o, err := BuildOpts(g, 2, 4, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +196,7 @@ func TestTotalGatesDoublesForUncompute(t *testing.T) {
 
 func TestCompactOracleMatchesAdderOracle(t *testing.T) {
 	g := graph.Example6()
-	adder, err := Build(g, 2, 4)
+	adder, err := BuildOpts(g, 2, 4, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,7 +220,7 @@ func TestTruthTableDeterministicAcrossWorkers(t *testing.T) {
 	// scratch register; the table must be byte-identical at any worker
 	// count and agree with the serial fast-path predicate.
 	g := graph.Gnm(10, 23, 7)
-	o, err := Build(g, 2, 3)
+	o, err := BuildOpts(g, 2, 3, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

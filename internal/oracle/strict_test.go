@@ -30,7 +30,7 @@ func TestBuildStrictCompactCounting(t *testing.T) {
 
 func TestCompiledOracleCircuitPassesLint(t *testing.T) {
 	g := graph.Example6()
-	o, err := Build(g, 2, 4)
+	o, err := BuildOpts(g, 2, 4, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +52,7 @@ func TestCompiledOracleCircuitPassesLint(t *testing.T) {
 
 func TestVerifyResetContractDetectsSabotage(t *testing.T) {
 	g := graph.Example6()
-	o, err := Build(g, 2, 4)
+	o, err := BuildOpts(g, 2, 4, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
