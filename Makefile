@@ -81,10 +81,12 @@ race-bb:
 
 # One iteration of every benchmark: catches benchmarks that panic or
 # fatal without paying for stable timings. Covers the fast-path packages
-# (root BenchmarkOracleSweep/BenchmarkQMKPBinarySearch pairs included)
-# and the request decoder (BenchmarkDecodeSolveRequest).
+# (root BenchmarkOracleSweep/BenchmarkQMKPBinarySearch pairs included),
+# the request decoder (BenchmarkDecodeSolveRequest) and the oracle
+# compiler (BenchmarkBuildOpts, and BenchmarkStagesBuild, one qMKP
+# probe's share of it, in ./internal/oracle/).
 bench-smoke:
-	$(GO) test -run '^$$' -bench . -benchtime 1x . ./internal/kplex/ ./internal/fastoracle/ ./internal/api/
+	$(GO) test -run '^$$' -bench . -benchtime 1x . ./internal/kplex/ ./internal/fastoracle/ ./internal/api/ ./internal/oracle/
 
 # The service benchmark's own smoke test (_bench is a separate module, so
 # `go test ./...` at the root skips it): every workload end to end at a

@@ -27,13 +27,16 @@
 // Runs are cancellable: -timeout (and a request's timeout_ms) bounds the
 // solve, and an interrupt (Ctrl-C) stops it at the next
 // probe/try/shot/wave boundary; either way the best solution found so
-// far is reported before exiting. Exit codes distinguish failure
-// classes (the table lives in internal/api, shared with the daemon's
-// HTTP status mapping):
+// far is reported before exiting. bs, naive and tabu are the exception:
+// they cannot be cancelled, so a positive -timeout is refused for them
+// as a bad request (no wire request can name them), and an interrupt
+// ends the process at once, as it would any program. Exit codes
+// distinguish failure classes (the table lives in internal/api, shared
+// with the daemon's HTTP status mapping):
 //
 //	0  solved
 //	1  input/runtime error
-//	2  bad request (core.ErrBadSpec: empty graph, k, T or -gen out of range, R ≤ 1, unknown sampler)
+//	2  bad request (core.ErrBadSpec: empty graph, k, T or -gen out of range, R ≤ 1, unknown sampler, a timeout for bs, naive or tabu)
 //	3  instance too large (core.ErrTooLarge: past the gate simulator's, naive's or qnclub's cap)
 //	4  verified infeasible (core.ErrInfeasible, qtkp only)
 //	5  canceled or timed out (core.ErrCanceled)
@@ -147,6 +150,9 @@ func run(args []string, w io.Writer) error {
 	if *coPrune && req.Algo == "qnclub" {
 		return fmt.Errorf("-reduce preserves k-plexes, not n-clubs: %w", core.ErrBadSpec)
 	}
+	if uncancellable[req.Algo] && *timeout > 0 {
+		return fmt.Errorf("%s cannot be cancelled, so it cannot honour a timeout: %w", req.Algo, core.ErrBadSpec)
+	}
 	jsonPath, text := *jsonOut, w
 	if jsonPath == "" && *jsonIn != "" {
 		jsonPath = "-"
@@ -156,8 +162,12 @@ func run(args []string, w io.Writer) error {
 	}
 	fmt.Fprintf(text, "input: %v, k=%d\n", g, req.K)
 
-	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt)
-	defer stopSignals()
+	ctx := context.Background()
+	if !uncancellable[req.Algo] {
+		var stopSignals context.CancelFunc
+		ctx, stopSignals = signal.NotifyContext(ctx, os.Interrupt)
+		defer stopSignals()
+	}
 	for _, d := range []time.Duration{*timeout, time.Duration(req.TimeoutMS) * time.Millisecond} {
 		if d > 0 {
 			var cancel context.CancelFunc
@@ -180,10 +190,14 @@ func run(args []string, w io.Writer) error {
 }
 
 // cliOnly names the baselines this command runs itself (solveLocal)
-// instead of through server.Execute. They stay off the wire: bs and
-// tabu ignore cancellation, so the daemon could not keep its deadline
-// contract for them.
+// instead of through server.Execute. They stay off the wire: bs, naive
+// and tabu cannot be cancelled, so the daemon could not keep its
+// deadline contract for them.
 var cliOnly = map[string]bool{"bs": true, "naive": true, "tabu": true, "qnclub": true}
+
+// uncancellable names the baselines that take no context: run refuses a
+// timeout for them and leaves an interrupt its default effect.
+var uncancellable = map[string]bool{"bs": true, "naive": true, "tabu": true}
 
 // solve runs req on g, first co-pruned when coPrune is set (the kernel
 // report goes to text). Under co-pruning the answer is lifted back to
@@ -221,7 +235,7 @@ func solve(ctx context.Context, req *api.SolveRequest, g *graph.Graph, coPrune b
 	var res *api.SolveResult
 	var err error
 	if cliOnly[req.Algo] {
-		res, err = solveLocal(req, g, clubL)
+		res, err = solveLocal(ctx, req, g, clubL)
 	} else {
 		res, err = server.Execute(ctx, req, g, ob)
 	}
@@ -246,12 +260,15 @@ func keepWitness(res *api.SolveResult, witness []int) {
 // solveLocal runs one CLI-only baseline and fills the wire result the
 // daemon's algorithms fill. The exhaustive ones refuse instances past
 // their 2^n sweeps with core.ErrTooLarge before allocating anything.
-func solveLocal(req *api.SolveRequest, g *graph.Graph, clubL int) (*api.SolveResult, error) {
+// Only qnclub takes ctx; a cut qnclub run returns the best club found so
+// far alongside core.ErrCanceled.
+func solveLocal(ctx context.Context, req *api.SolveRequest, g *graph.Graph, clubL int) (*api.SolveResult, error) {
 	if maxN := map[string]int{"naive": kplex.NaiveMaxVertices, "qnclub": core.MaxGateVertices}[req.Algo]; maxN > 0 && g.N() > maxN {
 		return nil, fmt.Errorf("%s needs n ≤ %d, got n=%d: %w", req.Algo, maxN, g.N(), core.ErrTooLarge)
 	}
 	out := &api.SolveResult{V: api.Version, Algo: req.Algo, K: req.K}
 	var set []int
+	var cut error // a cut qnclub run's error, returned with its best club
 	switch req.Algo {
 	case "bs", "naive":
 		run := kplex.BS
@@ -266,14 +283,17 @@ func solveLocal(req *api.SolveRequest, g *graph.Graph, clubL int) (*api.SolveRes
 	case "tabu":
 		set = kplex.TabuSearch(g, req.K, req.EffectiveSeed())
 	case "qnclub":
-		res, err := club.QMaxClub(g, clubL, rand.New(rand.NewSource(req.EffectiveSeed())))
-		if err != nil {
+		res, err := club.QMaxClub(ctx, g, clubL, rand.New(rand.NewSource(req.EffectiveSeed())))
+		if err != nil && ctx.Err() == nil {
 			return nil, err
 		}
 		set, out.OracleCalls = res.Set, int(res.Nodes)
+		if err != nil {
+			cut = fmt.Errorf("%w (qnclub): %w", core.ErrCanceled, err)
+		}
 	}
 	out.Size, out.Set, out.Found = len(set), api.OneBased(set), len(set) > 0
-	return out, nil
+	return out, cut
 }
 
 // render prints a result as text: one line per qMKP probe, then the

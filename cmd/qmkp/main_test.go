@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"repro/internal/api"
+	"repro/internal/club"
 	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/obs"
@@ -205,6 +206,51 @@ func TestSizeRefusals(t *testing.T) {
 		}
 		if strings.Contains(out.String(), "solution:") {
 			t.Errorf("%s: printed an answer:\n%s", args, out.String())
+		}
+	}
+}
+
+// Every CLI-only baseline keeps the command's timeout contract. bs,
+// naive and tabu cannot be cancelled, so a timeout is a bad request
+// (exit 2) rather than a silently ignored one; qnclub is cut at its next
+// probe, exits 5 and reports the best club found so far, which must be
+// a valid club (empty here, since the deadline passes before the first
+// probe).
+func TestCLIOnlyTimeouts(t *testing.T) {
+	for _, tc := range []struct {
+		args string
+		want int
+	}{
+		{"-algo bs -k 2", 0},
+		{"-algo bs -k 2 -timeout 1h", 2},
+		{"-algo naive -k 2", 0},
+		{"-algo naive -k 2 -timeout 1h", 2},
+		{"-algo tabu -k 2", 0},
+		{"-algo tabu -k 2 -timeout 1h", 2},
+		{"-algo qnclub -club 2", 0},
+		{"-algo qnclub -club 2 -timeout 1ns", 5},
+	} {
+		var out bytes.Buffer
+		err := run(strings.Fields(tc.args+" -gen 12,30 -seed 1 -json-out -"), &out)
+		if got := api.ExitCode(err); got != tc.want {
+			t.Errorf("%s: exit %d (%v), want %d", tc.args, got, err, tc.want)
+			continue
+		}
+		if tc.want == 2 {
+			if out.Len() != 0 {
+				t.Errorf("%s: printed an answer:\n%s", tc.args, out.String())
+			}
+			continue
+		}
+		var res api.SolveResult
+		if jerr := json.Unmarshal(out.Bytes(), &res); jerr != nil {
+			t.Fatalf("%s: %v\n%s", tc.args, jerr, out.String())
+		}
+		if strings.Contains(tc.args, "qnclub") {
+			set := api.ZeroBased(res.Set)
+			if res.Size != len(set) || !club.IsNClub(graph.Gnm(12, 30, 1), set, 2) {
+				t.Errorf("%s: size %d, set %v is not a 2-club of that size", tc.args, res.Size, res.Set)
+			}
 		}
 	}
 }

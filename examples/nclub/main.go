@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -42,7 +43,7 @@ func main() {
 	}
 	fmt.Printf("maximum 2-club (enumeration): size %d, set %v\n", exact.Size, oneBased(exact.Set))
 
-	qres, err := club.QMaxClub(g, 2, rand.New(rand.NewSource(1)))
+	qres, err := club.QMaxClub(context.Background(), g, 2, rand.New(rand.NewSource(1)))
 	if err != nil {
 		log.Fatal(err)
 	}

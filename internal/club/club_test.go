@@ -1,6 +1,8 @@
 package club
 
 import (
+	"context"
+	"errors"
 	"math/rand"
 	"testing"
 
@@ -166,7 +168,7 @@ func TestQMaxClubMatchesEnumeration(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := QMaxClub(g, L, rand.New(rand.NewSource(rng.Int63())))
+			got, err := QMaxClub(context.Background(), g, L, rand.New(rand.NewSource(rng.Int63())))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -253,5 +255,20 @@ func TestClubTruthTableDeterministicAcrossWorkers(t *testing.T) {
 			}
 		}
 		parallel.SetWorkers(prev)
+	}
+}
+
+// A cut search stops at the next probe boundary and returns the best
+// club found so far (here none) alongside the context's error.
+func TestQMaxClubHonoursCancellation(t *testing.T) {
+	g := graph.Gnp(7, 0.4, 3)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	got, err := QMaxClub(ctx, g, 2, rand.New(rand.NewSource(1)))
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if got.Size != len(got.Set) || !IsNClub(g, got.Set, 2) {
+		t.Errorf("cut search returned %+v, not a 2-club of its size", got)
 	}
 }

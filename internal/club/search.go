@@ -15,8 +15,9 @@ import (
 // size ≥ T. Returns the verified set, or Found=false. Each call builds a
 // 2^n-entry truth table and a Grover register of n qubits, so it
 // refuses n past qsim.MaxStatevectorQubits, the widest register the
-// Grover engine accepts.
-func QTClub(g *graph.Graph, L, T int, rng *rand.Rand) (Result, bool, error) {
+// Grover engine accepts. ctx is honoured inside the Grover try loop; a
+// cut search returns the context's error.
+func QTClub(ctx context.Context, g *graph.Graph, L, T int, rng *rand.Rand) (Result, bool, error) {
 	if rng == nil {
 		rng = rand.New(rand.NewSource(1))
 	}
@@ -42,7 +43,7 @@ func QTClub(g *graph.Graph, L, T int, rng *rand.Rand) (Result, bool, error) {
 	if m == 0 {
 		return Result{}, false, nil
 	}
-	sr, err := grover.Search(context.Background(), n, pred, m, int64(orc.TotalGates()), 3, rng, obs.Obs{})
+	sr, err := grover.Search(ctx, n, pred, m, int64(orc.TotalGates()), 3, rng, obs.Obs{})
 	if err != nil {
 		return Result{}, false, err
 	}
@@ -57,7 +58,9 @@ func QTClub(g *graph.Graph, L, T int, rng *rand.Rand) (Result, bool, error) {
 }
 
 // QMaxClub is the n-club analogue of qMKP: binary search over QTClub.
-func QMaxClub(g *graph.Graph, L int, rng *rand.Rand) (Result, error) {
+// ctx is checked at every probe and passed into each; on cancellation
+// the best club found so far comes back alongside the context's error.
+func QMaxClub(ctx context.Context, g *graph.Graph, L int, rng *rand.Rand) (Result, error) {
 	n := g.N()
 	if n < 1 {
 		return Result{}, fmt.Errorf("club: empty graph")
@@ -67,10 +70,16 @@ func QMaxClub(g *graph.Graph, L int, rng *rand.Rand) (Result, error) {
 	}
 	var best Result
 	lo, hi := 1, n
-	for lo <= hi {
+	for lo <= hi { //ctx:boundary probe
+		if err := ctx.Err(); err != nil {
+			return best, err
+		}
 		T := (lo + hi + 1) / 2
-		res, found, err := QTClub(g, L, T, rng)
+		res, found, err := QTClub(ctx, g, L, T, rng)
 		if err != nil {
+			if ctx.Err() != nil {
+				return best, err
+			}
 			return Result{}, err
 		}
 		best.Nodes += res.Nodes

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
@@ -361,5 +362,93 @@ func TestGatePathPinnedAboveTwentyVertices(t *testing.T) {
 			res.Iterations != w.iterations || res.OracleCalls != w.calls || res.Gates != w.gates {
 			t.Errorf("G(%d,%d) T=%d: %+v, want %+v", c.n, c.m, w.T, res, w)
 		}
+	}
+}
+
+// gateWork is the checked-in work-count table of the gate path. qMKP rows
+// run the daemon's configuration (classical bounds on, the request seed
+// driving measurements) on the quantum-paper shape, G(14, 45) with k = 2,
+// at ten (graph seed, measurement seed) pairs; qTKP rows run G(10, 23)
+// (graph seed 5, k = 2, measurement seed 5) at every T from 1 to 8.
+var gateWork = struct {
+	mkp []struct {
+		graphSeed, rngSeed  int64
+		size, probes, calls int
+		gates               int64
+	}
+	tkp []struct {
+		T, size, calls int
+		gates          int64
+	}
+}{
+	mkp: []struct {
+		graphSeed, rngSeed  int64
+		size, probes, calls int
+		gates               int64
+	}{
+		{1, 101, 6, 2, 146, 680772},
+		{2, 102, 6, 1, 51, 235814},
+		{3, 103, 6, 2, 202, 965828},
+		{4, 104, 6, 2, 160, 745356},
+		{5, 105, 6, 2, 173, 789222},
+		{6, 106, 6, 2, 143, 668004},
+		{7, 107, 6, 2, 137, 639588},
+		{8, 108, 6, 2, 139, 644676},
+		{9, 109, 6, 1, 51, 233214},
+		{10, 110, 6, 2, 146, 668964},
+	},
+	tkp: []struct {
+		T, size, calls int
+		gates          int64
+	}{
+		{1, 3, 3, 4618},
+		{2, 2, 3, 4618},
+		{3, 3, 3, 4622},
+		{4, 4, 4, 6922},
+		{5, 6, 9, 18458},
+		{6, 6, 26, 57660},
+		{7, 0, 26, 57710},
+		{8, 0, 26, 57610},
+	},
+}
+
+// TestGateWorkCountRatchet is the work-count gate of the gate path: a
+// size that changes is a wrong answer, a count that rises is a
+// regression, and a count that falls must be written into the table in
+// the same change, so the table only ever ratchets down.
+func TestGateWorkCountRatchet(t *testing.T) {
+	check := func(row, name string, got, want int64) {
+		t.Helper()
+		if got != want {
+			t.Errorf("%s: %s is %d, the table says %d (more work is a regression; less goes into the table)", row, name, got, want)
+		}
+	}
+	for _, w := range gateWork.mkp {
+		row := fmt.Sprintf("qmkp G(14,45) seed %d rng %d", w.graphSeed, w.rngSeed)
+		res, err := SolveMKP(context.Background(), graph.Gnm(14, 45, w.graphSeed), Spec{Algo: AlgoMKP, K: 2,
+			Gate: &GateOptions{Rng: rand.New(rand.NewSource(w.rngSeed)), UseClassicalBounds: true}})
+		if err != nil {
+			t.Fatalf("%s: %v", row, err)
+		}
+		if res.Size != w.size {
+			t.Errorf("%s: size %d, the table says %d", row, res.Size, w.size)
+		}
+		check(row, "probes", int64(len(res.Progress)), int64(w.probes))
+		check(row, "oracle calls", int64(res.OracleCalls), int64(w.calls))
+		check(row, "gates", res.Gates, w.gates)
+	}
+	g := graph.Gnm(10, 23, 5)
+	for _, w := range gateWork.tkp {
+		row := fmt.Sprintf("qtkp G(10,23) seed 5 T=%d", w.T)
+		res, err := SolveTKP(context.Background(), g, Spec{Algo: AlgoTKP, K: 2, T: w.T,
+			Gate: &GateOptions{Rng: rand.New(rand.NewSource(5))}})
+		if err != nil && !(w.size == 0 && errors.Is(err, ErrInfeasible)) {
+			t.Fatalf("%s: %v", row, err)
+		}
+		if len(res.Set) != w.size {
+			t.Errorf("%s: size %d, the table says %d", row, len(res.Set), w.size)
+		}
+		check(row, "oracle calls", int64(res.OracleCalls), int64(w.calls))
+		check(row, "gates", res.Gates, w.gates)
 	}
 }

@@ -204,15 +204,24 @@ func SolveMKP(ctx context.Context, g *graph.Graph, spec Spec) (MKPResult, error)
 			}
 		}
 	}
+	// The oracle's threshold-independent stages are compiled on the
+	// first probe (none runs when the greedy size meets the upper
+	// bound) and finished per threshold: gate counts and QPU time
+	// modelling come from the circuit whichever source answers queries.
+	var stages *oracle.Stages
 	for lo <= hi { //ctx:boundary probe
 		if cerr := ctx.Err(); cerr != nil {
 			finish()
 			return out, canceled(AlgoMKP, cerr)
 		}
 		T := (lo + hi + 1) / 2
-		// The circuit is still compiled per probe: gate counts and QPU
-		// time modelling come from it whichever source answers queries.
-		orc, err := oracle.BuildOpts(g, k, T, oracle.Options{Metrics: mx})
+		if stages == nil {
+			if stages, err = oracle.CompileStages(g, k, oracle.Options{Metrics: mx}); err != nil {
+				finish()
+				return out, err
+			}
+		}
+		orc, err := stages.Build(T)
 		if err != nil {
 			finish()
 			return out, err

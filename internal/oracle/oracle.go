@@ -15,6 +15,12 @@
 //     compare with |T>, and conjoin with the cplex flag into the oracle
 //     output.
 //
+// Only stage IV reads T, and only as the constant loaded into its |T>
+// register, so CompileStages compiles everything else once per (graph,
+// k) and Stages.Build finishes one linted oracle per threshold: qMKP's
+// binary search compiles once per request. BuildOpts is the two in a
+// row.
+//
 // The assembled circuit is purely X-family (reversible), so the package
 // also provides the exact classical evaluation used by the hybrid Grover
 // simulator, including a strict mode that executes U_check, reads the
@@ -106,20 +112,82 @@ type Options struct {
 // beyond the always-checked corners.
 const strictSampleBudget = 24
 
+// lintOpts is the structural lint every compiled oracle passes: every
+// stage of U_check must stay X-family (classically reversible) for the
+// hybrid simulation to be exact, and the per-block accounting the
+// complexity tables are built from must balance.
+var lintOpts = qsim.LintOptions{ReversibleBlocks: []string{
+	BlockEncoding, BlockDegreeCount, BlockDegreeCompare, BlockSizeCheck,
+}}
+
+// checkGraph and checkT are BuildOpts's range rules: a non-empty graph,
+// 1 ≤ k ≤ n and 1 ≤ T ≤ n.
+func checkGraph(n, k int) error {
+	if n < 1 {
+		return fmt.Errorf("oracle: empty graph")
+	}
+	if k < 1 || k > n {
+		return fmt.Errorf("oracle: k=%d out of range [1,%d]", k, n)
+	}
+	return nil
+}
+
+func checkT(n, T int) error {
+	if T < 1 || T > n {
+		return fmt.Errorf("oracle: T=%d out of range [1,%d]", T, n)
+	}
+	return nil
+}
+
 // BuildOpts compiles the oracle for graph g (the original graph; the
 // complement is formed internally, following the paper's reduction of
 // k-plex to k-cplex) with the construction variants of opts. T is the
-// size threshold.
+// size threshold. It is CompileStages followed by one Stages.Build; a
+// caller that asks several thresholds of one graph, as qMKP's binary
+// search does, compiles once and builds per threshold instead.
 func BuildOpts(g *graph.Graph, k, T int, opts Options) (*Oracle, error) {
+	if err := checkGraph(g.N(), k); err != nil {
+		return nil, err
+	}
+	if err := checkT(g.N(), T); err != nil {
+		return nil, err
+	}
+	s, err := CompileStages(g, k, opts)
+	if err != nil {
+		return nil, err
+	}
+	return s.Build(T)
+}
+
+// Stages is the part of the oracle that does not depend on the size
+// threshold T, compiled once per (graph, k, options): stages I–III, and
+// stage IV's size counter and comparator against a |T> register that is
+// allocated but not yet loaded. Stage IV's register widths are those of
+// n, which every T ≤ n fits, so only the X gates loading T differ from
+// one threshold to the next. Build reads a Stages and never modifies it,
+// so it is safe for concurrent use and every oracle it returned stays
+// valid.
+type Stages struct {
+	n, k int
+	opts Options
+
+	// fwd is U_check and the flip with |T> unloaded; T's load goes
+	// in at gate loadAt, between the size counter and the comparator.
+	fwd    *qsim.Circuit
+	loadAt int
+	tReg   []int
+
+	vertex              []int
+	cplexQ, sizeQ, outQ int
+	fast                *fastoracle.Evaluator
+}
+
+// CompileStages compiles the threshold-independent stages of the oracle
+// for graph g and k (see BuildOpts and Stages).
+func CompileStages(g *graph.Graph, k int, opts Options) (*Stages, error) {
 	n := g.N()
-	if n < 1 {
-		return nil, fmt.Errorf("oracle: empty graph")
-	}
-	if k < 1 || k > n {
-		return nil, fmt.Errorf("oracle: k=%d out of range [1,%d]", k, n)
-	}
-	if T < 1 || T > n {
-		return nil, fmt.Errorf("oracle: T=%d out of range [1,%d]", T, n)
+	if err := checkGraph(n, k); err != nil {
+		return nil, err
 	}
 	if opts.FastPath && n > 64 {
 		// The fast path answers one-word subset masks, so fastoracle.New
@@ -129,19 +197,19 @@ func BuildOpts(g *graph.Graph, k, T int, opts Options) (*Oracle, error) {
 	}
 	comp := g.Complement()
 	c := qsim.NewCircuit()
-	o := &Oracle{N: n, K: k, T: T, circuit: c, metrics: opts.Metrics}
+	s := &Stages{n: n, k: k, opts: opts}
 
 	// Vertex register |v1..vn>.
-	o.vertex = c.AllocReg("v", n)
+	s.vertex = c.AllocReg("v", n)
 
 	// Challenge I: encode the complement topology. Edge qubit e_{uv}
-	// fires iff both endpoints are selected.
+	// fires iff both endpoints are selected; edgeQ[u*n+v] is its index.
 	c.SetBlock(BlockEncoding)
-	edgeQ := make(map[[2]int]int, comp.M())
+	edgeQ := make([]int, n*n)
 	for _, e := range comp.Edges() {
 		q := c.Alloc(fmt.Sprintf("e[%d,%d]", e[0]+1, e[1]+1))
-		c.CCX(o.vertex[e[0]], o.vertex[e[1]], q)
-		edgeQ[e] = q
+		c.CCX(s.vertex[e[0]], s.vertex[e[1]], q)
+		edgeQ[e[0]*n+e[1]], edgeQ[e[1]*n+e[0]] = q, q
 	}
 
 	// Challenge II: degree counting. Each vertex gets an accumulator
@@ -157,14 +225,10 @@ func BuildOpts(g *graph.Graph, k, T int, opts Options) (*Oracle, error) {
 		widths[v] = qarith.WidthFor(maxVal)
 		acc := qarith.NewAccumulator(c, fmt.Sprintf("c%d", v+1), widths[v])
 		for _, u := range comp.Neighbors(v) {
-			key := [2]int{v, u}
-			if u < v {
-				key = [2]int{u, v}
-			}
 			if opts.CompactCounting {
-				acc.AddBitCompact(c, edgeQ[key])
+				acc.AddBitCompact(c, edgeQ[v*n+u])
 			} else {
-				acc.AddBit(c, edgeQ[key])
+				acc.AddBit(c, edgeQ[v*n+u])
 			}
 		}
 		degReg[v] = acc.Bits()
@@ -177,31 +241,59 @@ func BuildOpts(g *graph.Graph, k, T int, opts Options) (*Oracle, error) {
 		kReg := qarith.LoadConst(c, fmt.Sprintf("k%d", v+1), k-1, widths[v])
 		leQ[v] = qarith.LessOrEqual(c, degReg[v], kReg)
 	}
-	o.cplexQ = c.Alloc("cplex")
+	s.cplexQ = c.Alloc("cplex")
 	ctrls := make([]qsim.Control, n)
 	for v := 0; v < n; v++ {
 		ctrls[v] = qsim.On(leQ[v])
 	}
-	c.MCX(ctrls, o.cplexQ)
+	c.MCX(ctrls, s.cplexQ)
 
-	// Challenge IV: size determination and threshold comparison.
+	// Challenge IV: size determination and threshold comparison, with
+	// |T> left for Build to load. Every T ≤ n fits in n's width.
 	c.SetBlock(BlockSizeCheck)
 	sizeWidth := qarith.WidthFor(n)
-	if w := qarith.WidthFor(T); w > sizeWidth {
-		sizeWidth = w
-	}
 	sizeAcc := qarith.NewAccumulator(c, "size", sizeWidth)
-	for _, vq := range o.vertex {
+	for _, vq := range s.vertex {
 		if opts.CompactCounting {
 			sizeAcc.AddBitCompact(c, vq)
 		} else {
 			sizeAcc.AddBit(c, vq)
 		}
 	}
-	tReg := qarith.LoadConst(c, "T", T, sizeWidth)
-	o.sizeQ = qarith.GreaterOrEqual(c, sizeAcc.Bits(), tReg)
-	o.outQ = c.Alloc("oracle")
-	c.CCX(o.cplexQ, o.sizeQ, o.outQ)
+	s.loadAt = c.Len()
+	s.tReg = c.AllocReg("T", sizeWidth)
+	s.sizeQ = qarith.GreaterOrEqual(c, sizeAcc.Bits(), s.tReg)
+	s.outQ = c.Alloc("oracle")
+	c.CCX(s.cplexQ, s.sizeQ, s.outQ)
+	s.fwd = c
+
+	if opts.FastPath {
+		fast, err := fastoracle.New(g, k)
+		if err != nil {
+			return nil, fmt.Errorf("oracle: fast path unavailable: %w", err)
+		}
+		s.fast = fast
+	}
+	return s, nil
+}
+
+// Build finishes the oracle for threshold T: it copies the compiled
+// stages into a new circuit, loads |T>, appends U_check† and lints the
+// whole circuit; under Options.Strict it then verifies the reset
+// contract. The circuit is allocated at its final length up front.
+func (s *Stages) Build(T int) (*Oracle, error) {
+	if err := checkT(s.n, T); err != nil {
+		return nil, err
+	}
+	// Room for U_check with the longest load of |T>, the flip, and the
+	// mirror of U_check.
+	c := s.fwd.Derive(2*(s.fwd.Len()+len(s.tReg)) - 1)
+	c.AppendBase(0, s.loadAt)
+	c.SetBlock(BlockSizeCheck)
+	qarith.SetConst(c, s.tReg, T)
+	c.AppendBase(s.loadAt, s.fwd.Len())
+	o := &Oracle{N: s.n, K: s.k, T: T, circuit: c, vertex: s.vertex,
+		cplexQ: s.cplexQ, sizeQ: s.sizeQ, outQ: s.outQ, fast: s.fast, metrics: s.opts.Metrics}
 
 	// U_check† — reset every auxiliary qubit (the paper's Fig. 8 "repeat"
 	// structure relies on this). The final CCX into outQ is excluded:
@@ -212,25 +304,12 @@ func BuildOpts(g *graph.Graph, k, T int, opts Options) (*Oracle, error) {
 
 	o.scratch = bitvec.New(c.NumQubits())
 
-	// Structural lint: every stage of U_check must stay X-family
-	// (classically reversible) for the hybrid simulation to be exact, and
-	// the per-block accounting the complexity tables are built from must
-	// balance. This is cheap (one pass over the gate list), so it guards
-	// every construction, not just tests.
-	lintOpts := qsim.LintOptions{ReversibleBlocks: []string{
-		BlockEncoding, BlockDegreeCount, BlockDegreeCompare, BlockSizeCheck,
-	}}
+	// The lint is one pass over the gate list, so it guards every
+	// construction, not just tests.
 	if issues := qsim.LintCircuit(c, lintOpts); len(issues) > 0 {
 		return nil, fmt.Errorf("oracle: compiled circuit fails lint: %v", issues[0])
 	}
-	if opts.FastPath {
-		fast, err := fastoracle.New(g, k)
-		if err != nil {
-			return nil, fmt.Errorf("oracle: fast path unavailable: %w", err)
-		}
-		o.fast = fast
-	}
-	if opts.Strict {
+	if s.opts.Strict {
 		if err := o.VerifyResetContract(strictSampleBudget); err != nil {
 			return nil, err
 		}

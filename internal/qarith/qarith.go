@@ -128,16 +128,23 @@ func (a *Accumulator) AddBitCompact(c *qsim.Circuit, b int) {
 // LoadConst allocates a register holding the classical constant v (e.g.
 // the |k-1> and |T> registers of Figs. 6 and 8) using X gates.
 func LoadConst(c *qsim.Circuit, label string, v, width int) []int {
-	if v < 0 || v >= 1<<uint(width) {
-		panic(fmt.Sprintf("qarith: constant %d does not fit in %d bits", v, width))
-	}
 	reg := c.AllocReg(label, width)
+	SetConst(c, reg, v)
+	return reg
+}
+
+// SetConst writes the classical constant v into reg, a register known to
+// hold |0>, with one X gate per set bit, lowest bit first: the gates of
+// LoadConst, for a register allocated earlier.
+func SetConst(c *qsim.Circuit, reg []int, v int) {
+	if v < 0 || v >= 1<<uint(len(reg)) {
+		panic(fmt.Sprintf("qarith: constant %d does not fit in %d bits", v, len(reg)))
+	}
 	for i, q := range reg {
 		if v&(1<<uint(i)) != 0 {
 			c.X(q)
 		}
 	}
-	return reg
 }
 
 // LessOrEqual appends the paper's Fig. 10 comparator and returns a wire

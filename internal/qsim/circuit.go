@@ -23,6 +23,8 @@ package qsim
 
 import (
 	"fmt"
+	"math"
+	"slices"
 
 	"repro/internal/bitvec"
 )
@@ -66,7 +68,7 @@ func On(q int) Control { return Control{Qubit: q, Positive: true} }
 // Off returns a negative (hollow-dot) control on qubit q.
 func Off(q int) Control { return Control{Qubit: q, Positive: false} }
 
-// Gate is one gate application.
+// Gate is one gate application, as Circuit.Gates reports it.
 type Gate struct {
 	Kind     Kind
 	Target   int
@@ -74,13 +76,38 @@ type Gate struct {
 	Block    string // accounting label of the circuit block that emitted it
 }
 
+// gate is a Gate as a circuit stores it. It holds no pointers, so a gate
+// list grows, copies and sits in the heap as plain memory the garbage
+// collector never scans: the controls live back to back in the circuit's
+// control store, and the block label in its block table.
+type gate struct {
+	kind   Kind
+	block  uint16 // index into Circuit.blocks
+	target int32
+	ctrl   int32 // the controls are Circuit.ctrls[ctrl : ctrl+nctrl]
+	nctrl  int32
+}
+
 // Circuit is a straight-line quantum circuit with a qubit allocator.
 // The zero value is an empty circuit ready for use.
 type Circuit struct {
-	gates  []Gate
-	labels []string // one per qubit
-	block  string
-	counts map[string]int // running per-block accounting, see GateCounts
+	gates  []gate
+	ctrls  []Control // every gate's controls, back to back
+	labels []string  // one per qubit
+	blocks []string  // block labels, indexed by gate.block
+	block  string    // label of the gates emitted next
+	cur    int       // 1 + index of block in blocks, or 0 until resolved
+
+	// ledger is the running per-block accounting, by block index (see
+	// GateCounts). The books are kept separately from the gate list on
+	// purpose: LintCircuit recounts the list and cross-checks it against
+	// this ledger, so any code path that appends gates without
+	// accounting (or vice versa) is caught mechanically.
+	ledger []int
+
+	// base is the gate list of the circuit this one was derived from,
+	// as it stood then (see Derive).
+	base []gate
 }
 
 // NewCircuit returns an empty circuit.
@@ -89,14 +116,42 @@ func NewCircuit() *Circuit { return &Circuit{} }
 // NumQubits returns the number of allocated qubits.
 func (c *Circuit) NumQubits() int { return len(c.labels) }
 
-// Gates returns the gate list (not a copy; callers must not mutate).
-func (c *Circuit) Gates() []Gate { return c.gates }
+// Gates returns the gate list as Gate values, built afresh on each call.
+// The Controls slices are views of the circuit's control store: callers
+// must not modify them.
+func (c *Circuit) Gates() []Gate {
+	out := make([]Gate, len(c.gates))
+	for i, g := range c.gates {
+		out[i] = Gate{Kind: g.kind, Target: int(g.target), Controls: c.controls(g), Block: c.blocks[g.block]}
+	}
+	return out
+}
+
+// controls returns g's control list, a view of the control store.
+func (c *Circuit) controls(g gate) []Control {
+	if g.nctrl == 0 {
+		return nil
+	}
+	end := g.ctrl + g.nctrl
+	return c.ctrls[g.ctrl:end:end]
+}
 
 // Alloc reserves one fresh qubit, initially |0>, and returns its index.
 // The label is for debugging and circuit dumps.
 func (c *Circuit) Alloc(label string) int {
-	c.labels = append(c.labels, label)
+	c.labels = append(grow(c.labels, 1), label)
 	return len(c.labels) - 1
+}
+
+// grow returns s with room for n more elements, at least doubling its
+// capacity when it must reallocate: append grows a large slice by a
+// quarter at a time, which would copy a gate list of thousands of gates
+// many times over while it is built.
+func grow[E any](s []E, n int) []E {
+	if cap(s)-len(s) >= n {
+		return s
+	}
+	return slices.Grow(s, max(n, len(s)))
 }
 
 // AllocReg reserves width fresh qubits labelled label[0..width).
@@ -116,8 +171,24 @@ func (c *Circuit) Label(q int) string { return c.labels[q] }
 // split of the paper's Table IV). It returns the previous block label.
 func (c *Circuit) SetBlock(name string) string {
 	prev := c.block
-	c.block = name
+	c.block, c.cur = name, 0
 	return prev
+}
+
+// blockIndex returns the index of label in the block table, adding it
+// (with an empty ledger entry) if it is new.
+func (c *Circuit) blockIndex(label string) int {
+	for i, b := range c.blocks {
+		if b == label {
+			return i
+		}
+	}
+	if len(c.blocks) > math.MaxUint16 {
+		panic(fmt.Sprintf("qsim: more than %d block labels", math.MaxUint16+1))
+	}
+	c.blocks = append(c.blocks, label)
+	c.ledger = append(c.ledger, 0)
+	return len(c.blocks) - 1
 }
 
 func (c *Circuit) checkQubit(q int) {
@@ -134,20 +205,20 @@ func (c *Circuit) emit(kind Kind, target int, controls []Control) {
 			panic(fmt.Sprintf("qsim: control and target coincide at qubit %d", target))
 		}
 	}
-	c.gates = append(c.gates, Gate{Kind: kind, Target: target, Controls: controls, Block: c.block})
-	c.countGate(c.block)
+	if c.cur == 0 {
+		c.cur = 1 + c.blockIndex(c.block)
+	}
+	c.gates = append(grow(c.gates, 1), gate{kind: kind, block: uint16(c.cur - 1), target: int32(target),
+		ctrl: int32(len(c.ctrls)), nctrl: int32(len(controls))})
+	c.ctrls = append(grow(c.ctrls, len(controls)), controls...)
+	c.ledger[c.cur-1]++
 }
 
-// countGate records one emitted gate in the running per-block accounting.
-// The books are kept separately from the gate list on purpose: LintCircuit
-// recounts the list and cross-checks it against this ledger, so any future
-// code path that appends gates without accounting (or vice versa) is
-// caught mechanically.
-func (c *Circuit) countGate(block string) {
-	if c.counts == nil {
-		c.counts = make(map[string]int)
+// book records gates [from, to) of the gate list in the ledger.
+func (c *Circuit) book(from, to int) {
+	for _, g := range c.gates[from:to] {
+		c.ledger[g.block]++
 	}
-	c.counts[block]++
 }
 
 // X appends a NOT gate on qubit t.
@@ -160,10 +231,8 @@ func (c *Circuit) CX(ctl, t int) { c.emit(KindX, t, []Control{On(ctl)}) }
 func (c *Circuit) CCX(c1, c2, t int) { c.emit(KindX, t, []Control{On(c1), On(c2)}) }
 
 // MCX appends a multi-controlled NOT with arbitrary control polarities.
-func (c *Circuit) MCX(controls []Control, t int) {
-	cp := append([]Control(nil), controls...)
-	c.emit(KindX, t, cp)
-}
+// The gate keeps its own copy of controls.
+func (c *Circuit) MCX(controls []Control, t int) { c.emit(KindX, t, controls) }
 
 // H appends a Hadamard gate on qubit t.
 func (c *Circuit) H(t int) { c.emit(KindH, t, nil) }
@@ -171,27 +240,56 @@ func (c *Circuit) H(t int) { c.emit(KindH, t, nil) }
 // Z appends a phase-flip gate on qubit t.
 func (c *Circuit) Z(t int) { c.emit(KindZ, t, nil) }
 
-// MCZ appends a multi-controlled Z with target t.
-func (c *Circuit) MCZ(controls []Control, t int) {
-	cp := append([]Control(nil), controls...)
-	c.emit(KindZ, t, cp)
-}
+// MCZ appends a multi-controlled Z with target t. The gate keeps its own
+// copy of controls.
+func (c *Circuit) MCZ(controls []Control, t int) { c.emit(KindZ, t, controls) }
 
 // AppendInverse appends U† for the gate range [from, to) of this circuit:
 // the same gates in reverse order (every gate in our vocabulary is its own
 // inverse). The paper uses this to reset all auxiliary qubits after the
 // oracle flip ("U† employs the same gates as U, but in reverse sequence").
 // Appended gates keep their original block labels so accounting stays
-// attributed to the component being uncomputed.
+// attributed to the component being uncomputed. The gate list grows at
+// most once, by the mirror's length.
 func (c *Circuit) AppendInverse(from, to int) {
 	if from < 0 || to > len(c.gates) || from > to {
 		panic(fmt.Sprintf("qsim: AppendInverse range [%d,%d) out of [0,%d]", from, to, len(c.gates)))
 	}
+	start := len(c.gates)
+	c.gates = slices.Grow(c.gates, to-from)
 	for i := to - 1; i >= from; i-- {
-		g := c.gates[i]
-		c.gates = append(c.gates, g)
-		c.countGate(g.Block)
+		c.gates = append(c.gates, c.gates[i])
 	}
+	c.book(start, len(c.gates))
+}
+
+// Derive returns an empty circuit on c's qubit register, with room for
+// gates gates, to which AppendBase copies gates of c as c stands now. The
+// new circuit shares c's qubit labels, block labels and control lists
+// read-only: whatever it adds goes into its own copies. The oracle uses
+// this to finish one circuit per size threshold from stages compiled
+// once.
+func (c *Circuit) Derive(gates int) *Circuit {
+	return &Circuit{
+		gates:  make([]gate, 0, gates),
+		ctrls:  c.ctrls[:len(c.ctrls):len(c.ctrls)],
+		labels: c.labels[:len(c.labels):len(c.labels)],
+		blocks: c.blocks[:len(c.blocks):len(c.blocks)],
+		ledger: make([]int, len(c.blocks)),
+		base:   c.gates[:len(c.gates):len(c.gates)],
+	}
+}
+
+// AppendBase appends gates [from, to) of the circuit c was derived from,
+// as that circuit stood at Derive, and books them under their block
+// labels.
+func (c *Circuit) AppendBase(from, to int) {
+	if from < 0 || to > len(c.base) || from > to {
+		panic(fmt.Sprintf("qsim: AppendBase range [%d,%d) out of [0,%d]", from, to, len(c.base)))
+	}
+	start := len(c.gates)
+	c.gates = append(c.gates, c.base[from:to]...)
+	c.book(start, len(c.gates))
 }
 
 // Len returns the number of gates.
@@ -201,9 +299,11 @@ func (c *Circuit) Len() int { return len(c.gates) }
 // running ledger maintained at emission time (LintCircuit verifies the
 // ledger against a recount of the gate list).
 func (c *Circuit) GateCounts() map[string]int {
-	counts := make(map[string]int, len(c.counts))
-	for block, n := range c.counts {
-		counts[block] = n
+	counts := make(map[string]int, len(c.ledger))
+	for b, n := range c.ledger {
+		if n > 0 {
+			counts[c.blocks[b]] = n
+		}
 	}
 	return counts
 }
@@ -213,7 +313,7 @@ func (c *Circuit) GateCounts() map[string]int {
 // states and can be executed by RunReversible.
 func (c *Circuit) IsReversible() bool {
 	for _, g := range c.gates {
-		if g.Kind != KindX {
+		if g.kind != KindX {
 			return false
 		}
 	}
@@ -237,21 +337,21 @@ func (c *Circuit) RunReversibleRange(state *bitvec.Vector, from, to int, counts 
 	}
 	for i := from; i < to; i++ {
 		g := c.gates[i]
-		if g.Kind != KindX {
-			panic(fmt.Sprintf("qsim: gate %d (%s) is not classically reversible", i, g.Kind))
+		if g.kind != KindX {
+			panic(fmt.Sprintf("qsim: gate %d (%s) is not classically reversible", i, g.kind))
 		}
 		fire := true
-		for _, ctl := range g.Controls {
+		for _, ctl := range c.controls(g) {
 			if state.Get(ctl.Qubit) != ctl.Positive {
 				fire = false
 				break
 			}
 		}
 		if fire {
-			state.Flip(g.Target)
+			state.Flip(int(g.target))
 		}
 		if counts != nil {
-			counts[g.Block]++
+			counts[c.blocks[g.block]]++
 		}
 	}
 }

@@ -2,7 +2,8 @@ package qsim
 
 import (
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 )
 
 // This file is the circuit-level half of the repo's Level-2 static
@@ -44,71 +45,68 @@ type LintOptions struct {
 //   - the per-block accounting ledger (GateCounts) matches an
 //     independent recount of the gate list, and sums to Len().
 //
-// It returns nil when the circuit is clean.
+// It returns nil when the circuit is clean. It makes one pass over the
+// gate list, tallying and classifying blocks by index and finding
+// repeated controls with a stamp per qubit.
 func LintCircuit(c *Circuit, opts LintOptions) []LintIssue {
 	var issues []LintIssue
-	reversible := make(map[string]bool, len(opts.ReversibleBlocks))
-	for _, b := range opts.ReversibleBlocks {
-		reversible[b] = true
-	}
 	n := c.NumQubits()
-	recount := make(map[string]int)
+	recount := make([]int, len(c.blocks))
+	reversible := make([]bool, len(c.blocks))
+	for b, label := range c.blocks {
+		reversible[b] = slices.Contains(opts.ReversibleBlocks, label)
+	}
+	stamp := make([]int, n) // stamp[q] == i+1: gate i has a control on q
 	for i, g := range c.gates {
-		recount[g.Block]++
-		if g.Kind != KindX && g.Kind != KindH && g.Kind != KindZ {
-			issues = append(issues, LintIssue{Gate: i, Msg: fmt.Sprintf("unknown gate kind %v", g.Kind)})
+		recount[g.block]++
+		if g.kind != KindX && g.kind != KindH && g.kind != KindZ {
+			issues = append(issues, LintIssue{Gate: i, Msg: fmt.Sprintf("unknown gate kind %v", g.kind)})
 		}
-		if g.Target < 0 || g.Target >= n {
-			issues = append(issues, LintIssue{Gate: i, Msg: fmt.Sprintf("target %d outside register [0,%d)", g.Target, n)})
+		if g.target < 0 || int(g.target) >= n {
+			issues = append(issues, LintIssue{Gate: i, Msg: fmt.Sprintf("target %d outside register [0,%d)", g.target, n)})
 		}
-		seen := make(map[int]bool, len(g.Controls))
-		for _, ctl := range g.Controls {
+		for _, ctl := range c.controls(g) {
 			if ctl.Qubit < 0 || ctl.Qubit >= n {
 				issues = append(issues, LintIssue{Gate: i, Msg: fmt.Sprintf("control %d outside register [0,%d)", ctl.Qubit, n)})
 				continue
 			}
-			if ctl.Qubit == g.Target {
-				issues = append(issues, LintIssue{Gate: i, Msg: fmt.Sprintf("control overlaps target %d", g.Target)})
+			if ctl.Qubit == int(g.target) {
+				issues = append(issues, LintIssue{Gate: i, Msg: fmt.Sprintf("control overlaps target %d", g.target)})
 			}
-			if seen[ctl.Qubit] {
+			if stamp[ctl.Qubit] == i+1 {
 				issues = append(issues, LintIssue{Gate: i, Msg: fmt.Sprintf("duplicate control on qubit %d", ctl.Qubit)})
 			}
-			seen[ctl.Qubit] = true
+			stamp[ctl.Qubit] = i + 1
 		}
-		if reversible[g.Block] && g.Kind != KindX {
-			issues = append(issues, LintIssue{Gate: i, Msg: fmt.Sprintf("non-reversible %s gate in reversible block %q", g.Kind, g.Block)})
+		if reversible[g.block] && g.kind != KindX {
+			issues = append(issues, LintIssue{Gate: i, Msg: fmt.Sprintf("non-reversible %s gate in reversible block %q", g.kind, c.blocks[g.block])})
 		}
 	}
 	// Double-entry accounting: ledger vs recount, and recount vs total.
-	// Blocks are visited in sorted order so the issue list — part of the
-	// linter's observable output — is identical on every run (maporder
-	// flags the naive map walk).
-	ledger := c.GateCounts()
+	// A block with no gates booked has no ledger entry. Blocks are
+	// visited in sorted order so the issue list — part of the linter's
+	// observable output — is identical on every run.
+	order := make([]int, len(c.blocks))
+	for b := range order {
+		order[b] = b
+	}
+	slices.SortFunc(order, func(a, b int) int { return strings.Compare(c.blocks[a], c.blocks[b]) })
 	total := 0
-	for _, block := range sortedBlocks(ledger) {
-		got := ledger[block]
-		total += got
-		if want := recount[block]; got != want {
-			issues = append(issues, LintIssue{Gate: -1, Msg: fmt.Sprintf("block %q ledger records %d gates, gate list has %d", block, got, want)})
+	for _, b := range order {
+		if got := c.ledger[b]; got != 0 {
+			total += got
+			if want := recount[b]; got != want {
+				issues = append(issues, LintIssue{Gate: -1, Msg: fmt.Sprintf("block %q ledger records %d gates, gate list has %d", c.blocks[b], got, want)})
+			}
 		}
 	}
-	for _, block := range sortedBlocks(recount) {
-		if _, ok := ledger[block]; !ok {
-			issues = append(issues, LintIssue{Gate: -1, Msg: fmt.Sprintf("block %q has %d gates but no ledger entry", block, recount[block])})
+	for _, b := range order {
+		if recount[b] != 0 && c.ledger[b] == 0 {
+			issues = append(issues, LintIssue{Gate: -1, Msg: fmt.Sprintf("block %q has %d gates but no ledger entry", c.blocks[b], recount[b])})
 		}
 	}
 	if total != c.Len() {
 		issues = append(issues, LintIssue{Gate: -1, Msg: fmt.Sprintf("ledger total %d != circuit length %d", total, c.Len())})
 	}
 	return issues
-}
-
-// sortedBlocks returns the keys of a block-count map in sorted order.
-func sortedBlocks(counts map[string]int) []string {
-	blocks := make([]string, 0, len(counts))
-	for b := range counts {
-		blocks = append(blocks, b)
-	}
-	sort.Strings(blocks)
-	return blocks
 }

@@ -59,31 +59,31 @@ func assertLint(t *testing.T, c *Circuit, opts LintOptions, wantFragment string)
 
 func TestLintTargetOutOfRange(t *testing.T) {
 	c := buildClean()
-	c.gates[1].Target = 99
+	c.gates[1].target = 99
 	assertLint(t, c, LintOptions{}, "target 99 outside register")
 }
 
 func TestLintControlOutOfRange(t *testing.T) {
 	c := buildClean()
-	c.gates[1].Controls[0].Qubit = -1
+	c.ctrls[c.gates[1].ctrl].Qubit = -1
 	assertLint(t, c, LintOptions{}, "control -1 outside register")
 }
 
 func TestLintControlOverlapsTarget(t *testing.T) {
 	c := buildClean()
-	c.gates[2].Controls[1].Qubit = c.gates[2].Target
+	c.ctrls[c.gates[2].ctrl+1].Qubit = int(c.gates[2].target)
 	assertLint(t, c, LintOptions{}, "control overlaps target")
 }
 
 func TestLintDuplicateControl(t *testing.T) {
 	c := buildClean()
-	c.gates[2].Controls[1].Qubit = c.gates[2].Controls[0].Qubit
+	c.ctrls[c.gates[2].ctrl+1].Qubit = c.ctrls[c.gates[2].ctrl].Qubit
 	assertLint(t, c, LintOptions{}, "duplicate control")
 }
 
 func TestLintUnknownKind(t *testing.T) {
 	c := buildClean()
-	c.gates[0].Kind = Kind(7)
+	c.gates[0].kind = Kind(7)
 	assertLint(t, c, LintOptions{}, "unknown gate kind")
 }
 
@@ -97,11 +97,11 @@ func TestLintNonReversibleBlock(t *testing.T) {
 func TestLintLedgerDrift(t *testing.T) {
 	c := buildClean()
 	// A rogue code path appends a gate without keeping the books.
-	c.gates = append(c.gates, Gate{Kind: KindX, Target: 0, Block: "flip"})
+	c.gates = append(c.gates, gate{kind: KindX, target: 0, block: uint16(c.blockIndex("flip"))})
 	assertLint(t, c, LintOptions{}, "ledger records 1 gates, gate list has 2")
 
 	// And one that cooks the ledger without touching the gate list.
 	c2 := buildClean()
-	c2.counts["phantom"] = 3
+	c2.ledger[c2.blockIndex("phantom")] = 3
 	assertLint(t, c2, LintOptions{}, "ledger total")
 }

@@ -13,7 +13,7 @@ import (
 // oracles run to thousands of gates, so maxGates caps the width
 // (0 means everything).
 func (c *Circuit) Render(w io.Writer, maxGates int) error {
-	gates := c.gates
+	gates := c.Gates()
 	truncated := false
 	if maxGates > 0 && len(gates) > maxGates {
 		gates = gates[:maxGates]

@@ -144,16 +144,16 @@ func (s *Statevector) Run(c *Circuit) {
 	if c.NumQubits() > s.n {
 		panic(fmt.Sprintf("qsim: circuit needs %d qubits, statevector has %d", c.NumQubits(), s.n))
 	}
-	for _, g := range c.Gates() {
-		switch g.Kind {
+	for _, g := range c.gates {
+		switch g.kind {
 		case KindX:
-			s.ApplyMCX(g.Controls, g.Target)
+			s.ApplyMCX(c.controls(g), int(g.target))
 		case KindH:
-			s.ApplyH(g.Target)
+			s.ApplyH(int(g.target))
 		case KindZ:
-			s.ApplyMCZ(g.Controls, g.Target)
+			s.ApplyMCZ(c.controls(g), int(g.target))
 		default:
-			panic(fmt.Sprintf("qsim: unknown gate kind %v", g.Kind))
+			panic(fmt.Sprintf("qsim: unknown gate kind %v", g.kind))
 		}
 	}
 }
