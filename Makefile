@@ -84,9 +84,11 @@ race-bb:
 # (root BenchmarkOracleSweep/BenchmarkQMKPBinarySearch pairs included),
 # the request decoder (BenchmarkDecodeSolveRequest) and the oracle
 # compiler (BenchmarkBuildOpts, and BenchmarkStagesBuild, one qMKP
-# probe's share of it, in ./internal/oracle/).
+# probe's share of it, in ./internal/oracle/) and the qaMKP sampler
+# (BenchmarkSQA, kept-field and recomputed-field paths, in
+# ./internal/anneal/).
 bench-smoke:
-	$(GO) test -run '^$$' -bench . -benchtime 1x . ./internal/kplex/ ./internal/fastoracle/ ./internal/api/ ./internal/oracle/
+	$(GO) test -run '^$$' -bench . -benchtime 1x . ./internal/kplex/ ./internal/fastoracle/ ./internal/api/ ./internal/oracle/ ./internal/anneal/
 
 # The service benchmark's own smoke test (_bench is a separate module, so
 # `go test ./...` at the root skips it): every workload end to end at a

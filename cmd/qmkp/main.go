@@ -36,8 +36,8 @@
 //
 //	0  solved
 //	1  input/runtime error
-//	2  bad request (core.ErrBadSpec: empty graph, k, T or -gen out of range, R ≤ 1, unknown sampler, a timeout for bs, naive or tabu)
-//	3  instance too large (core.ErrTooLarge: past the gate simulator's, naive's or qnclub's cap)
+//	2  bad request (core.ErrBadSpec: empty graph, k, T or -gen out of range, R ≤ 1, a negative -shots or -deltat, unknown sampler, a timeout for bs, naive or tabu)
+//	3  instance too large (core.ErrTooLarge: past the gate simulator's, naive's or qnclub's cap, or qamkp -shots or -deltat past api.MaxShots or api.MaxDeltaT)
 //	4  verified infeasible (core.ErrInfeasible, qtkp only)
 //	5  canceled or timed out (core.ErrCanceled)
 //

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/api"
 	"repro/internal/club"
@@ -141,6 +142,8 @@ func TestBadInputErrors(t *testing.T) {
 		"-algo bs -k 0 -gen 13,20",
 		"-algo naive -k 0 -gen 13,20",
 		"-algo qmkp -k 0 -gen 13,20",
+		"-algo qamkp -k 2 -gen 10,40 -shots -5",
+		"-algo qamkp -k 2 -gen 10,40 -deltat -1",
 	} {
 		var out bytes.Buffer
 		err := run(strings.Fields(args+" -seed 1"), &out)
@@ -192,12 +195,16 @@ func TestJSONOutMatchesExecute(t *testing.T) {
 
 // Instances past an exhaustive algorithm's sweep are refused as too
 // large (exit 3) before any table is built: qnclub at the gate-model
-// cap, naive past its 25 vertices.
+// cap, naive past its 25 vertices. So is a qamkp budget past
+// api.MaxShots or api.MaxDeltaT, before any shot is allocated.
 func TestSizeRefusals(t *testing.T) {
 	for _, args := range []string{
 		"-algo qnclub -club 2 -gen 25,60",
 		"-algo qnclub -club 2 -gen 64,300",
 		"-algo naive -k 2 -gen 26,40",
+		"-algo qamkp -k 2 -gen 10,40 -shots 100000000000",
+		fmt.Sprintf("-algo qamkp -k 2 -gen 10,40 -shots %d", api.MaxShots+1),
+		fmt.Sprintf("-algo qamkp -k 2 -gen 10,40 -deltat %d", api.MaxDeltaT+1),
 	} {
 		var out bytes.Buffer
 		err := run(strings.Fields(args+" -seed 1"), &out)
@@ -252,5 +259,26 @@ func TestCLIOnlyTimeouts(t *testing.T) {
 				t.Errorf("%s: size %d, set %v is not a 2-club of that size", tc.args, res.Size, res.Set)
 			}
 		}
+	}
+}
+
+// qnclub's timeout cuts the exhaustive truth-table sweep at its next
+// chunk, so a 1 ms deadline at n = 24 exits 5 in a fraction of the time
+// one full 2^24-mask sweep takes, rather than after it.
+func TestQNClubTimeoutCutsSweep(t *testing.T) {
+	orc, err := club.BuildOracle(graph.Gnm(24, 40, 1), 2, 13, club.Options{FastPath: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	if _, err := orc.TruthTable(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	full := time.Since(start)
+	var out bytes.Buffer
+	start = time.Now()
+	err = run(strings.Fields("-algo qnclub -club 2 -gen 24,40 -seed 1 -timeout 1ms"), &out)
+	if took := time.Since(start); api.ExitCode(err) != 5 || took > full/2 {
+		t.Errorf("exit %d (%v) after %v; want exit 5 well within one full sweep (%v)", api.ExitCode(err), err, took, full)
 	}
 }

@@ -179,14 +179,16 @@ func mergeShots(shots []shotOutcome, done []bool, p Params, kind string) Result 
 }
 
 // runShots fans the per-shot work onto the deterministic pool, checking
-// the context at every shot boundary. Abandoned shots are excluded from
-// the merge, so on cancellation the caller still gets the best result
-// over every completed shot plus a wrapped ctx.Err(). A nil-context run
-// is exactly the historical behaviour.
-func runShots(ctx context.Context, p Params, kind string, run func(shot int) shotOutcome) (Result, error) {
+// the context at every shot boundary. newWorker is called once per pool
+// worker and returns that worker's shot function, which may keep
+// scratch across the shots it runs; a shot's outcome must depend on its
+// index alone. Abandoned shots are excluded from the merge, so on
+// cancellation the caller still gets the best result over every
+// completed shot plus a wrapped ctx.Err().
+func runShots(ctx context.Context, p Params, kind string, newWorker func() func(shot int) shotOutcome) (Result, error) {
 	shots := make([]shotOutcome, p.Shots)
 	done := make([]bool, p.Shots)
-	parallel.For(p.Shots, 1, func(lo, hi int) {
+	parallel.ForScratch(p.Shots, 1, newWorker, func(run func(shot int) shotOutcome, lo, hi int) {
 		for shot := lo; shot < hi; shot++ { //ctx:boundary shot
 			if ctx.Err() != nil {
 				return
@@ -247,8 +249,8 @@ func SA(ctx context.Context, m *qubo.Model, p Params) (Result, error) {
 	}
 	p = p.withDefaults()
 	c := m.Compile()
-	return runShots(ctx, p, "sa", func(shot int) shotOutcome {
-		return saShot(c, p, shot)
+	return runShots(ctx, p, "sa", func() func(shot int) shotOutcome {
+		return func(shot int) shotOutcome { return saShot(c, p, shot) }
 	})
 }
 

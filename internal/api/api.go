@@ -120,6 +120,14 @@ const (
 	DefaultDeltaT = 5
 )
 
+// The largest qaMKP budget a request may ask for; Check refuses more as
+// too large. They cover every budget the experiments and examples run
+// (at most 10 000 shots, Δt ≤ 200).
+const (
+	MaxShots  = 10_000
+	MaxDeltaT = 1_000
+)
+
 // SolveRequest is one solve job. Exactly the fields relevant to Algo
 // are consulted: K everywhere, T for qtkp, Anneal for qamkp, Seed for
 // the randomized algorithms.
@@ -166,9 +174,13 @@ func (r *SolveRequest) EffectiveAnneal() AnnealParams {
 }
 
 // Check validates the fields of a request beyond their JSON types:
-// version, algorithm, k, t for qtkp, and timeout_ms. known reports which
-// algorithm names the caller dispatches (KnownAlgo for the wire).
-// Errors wrap core.ErrBadSpec. DecodeSolveRequest runs it on every
+// version, algorithm, k, t for qtkp, the anneal budget for qamkp, and
+// timeout_ms. known reports which algorithm names the caller dispatches
+// (KnownAlgo for the wire). Errors wrap core.ErrBadSpec, except a qamkp
+// shots or deltat past MaxShots or MaxDeltaT, which wraps
+// core.ErrTooLarge; a negative one is a bad spec (zero selects the
+// default). The QUBO a qamkp request anneals grows with its graph, and
+// its size is not capped here. DecodeSolveRequest runs Check on every
 // document, and cmd/qmkp on the request it builds from its flags.
 func (r *SolveRequest) Check(known func(algo string) bool) error {
 	if r.V != Version {
@@ -183,8 +195,28 @@ func (r *SolveRequest) Check(known func(algo string) bool) error {
 	if r.Algo == AlgoQTKP && r.T < 1 {
 		return fmt.Errorf("api: qtkp needs t ≥ 1: %w", core.ErrBadSpec)
 	}
+	if r.Algo == AlgoQAMKP && r.Anneal != nil {
+		if err := r.Anneal.checkBudget(); err != nil {
+			return err
+		}
+	}
 	if r.TimeoutMS < 0 {
 		return fmt.Errorf("api: timeout_ms=%d must be ≥ 0: %w", r.TimeoutMS, core.ErrBadSpec)
+	}
+	return nil
+}
+
+func (a *AnnealParams) checkBudget() error {
+	for _, f := range []struct {
+		name     string
+		val, max int
+	}{{"shots", a.Shots, MaxShots}, {"deltat", a.DeltaT, MaxDeltaT}} {
+		if f.val < 0 {
+			return fmt.Errorf("api: anneal %s=%d must be ≥ 0: %w", f.name, f.val, core.ErrBadSpec)
+		}
+		if f.val > f.max {
+			return fmt.Errorf("api: anneal %s=%d exceeds %d: %w", f.name, f.val, f.max, core.ErrTooLarge)
+		}
 	}
 	return nil
 }
@@ -322,7 +354,8 @@ func decodeStrict(r io.Reader, v any, op string) error {
 
 // DecodeSolveRequest reads one SolveRequest and checks it against the
 // wire algorithms. Unknown fields, version mismatches, unknown
-// algorithms and out-of-range parameters all wrap core.ErrBadSpec.
+// algorithms and out-of-range parameters all wrap core.ErrBadSpec; an
+// anneal budget past its cap wraps core.ErrTooLarge (Check).
 //
 // It reads the whole body, then tries scanRequest, a byte-level reader
 // for the subset of the schema that clients send (scan.go). A document

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -107,6 +108,8 @@ func TestStrictDecoding(t *testing.T) {
 		{"k-zero", `{"v":1,"algo":"bb","k":0,"graph":{"n":2,"edges":[[1,2]]}}`},
 		{"qtkp-no-t", `{"v":1,"algo":"qtkp","k":2,"graph":{"n":2,"edges":[[1,2]]}}`},
 		{"negative-timeout", `{"v":1,"algo":"bb","k":2,"graph":{"n":2,"edges":[[1,2]]},"timeout_ms":-1}`},
+		{"negative-shots", `{"v":1,"algo":"qamkp","k":2,"graph":{"n":2,"edges":[[1,2]]},"anneal":{"shots":-5}}`},
+		{"negative-deltat", `{"v":1,"algo":"qamkp","k":2,"graph":{"n":2,"edges":[[1,2]]},"anneal":{"deltat":-1}}`},
 		{"trailing-data", `{"v":1,"algo":"bb","k":2,"graph":{"n":2,"edges":[[1,2]]}} {"again":true}`},
 		{"trailing-bracket", `{"v":1,"algo":"greedy","k":2,"graph":{"n":3,"edges":[[1,2]]}}]`},
 		{"trailing-brace", `{"v":1,"algo":"greedy","k":2,"graph":{"n":3,"edges":[[1,2]]}}}`},
@@ -134,6 +137,44 @@ func TestStrictDecoding(t *testing.T) {
 	}
 	if _, err := DecodeEvent([]byte(`{"v":1,"type":"final","bogus":1}`)); err == nil || !strings.HasPrefix(err.Error(), "api: decode event: ") {
 		t.Errorf("event with an unknown field: error %v, want the api: decode event: prefix", err)
+	}
+}
+
+// TestAnnealBudgetCapped: a qamkp request's shots and deltat must lie in
+// [0, MaxShots] and [0, MaxDeltaT] (zero selects the default). Below is
+// a bad spec, above is too large; other algorithms do not consult the
+// anneal block.
+func TestAnnealBudgetCapped(t *testing.T) {
+	const g = `"graph":{"n":2,"edges":[[1,2]]}`
+	for _, tc := range []struct {
+		algo, anneal string
+		want         error
+	}{
+		{"qamkp", `{"shots":-5}`, core.ErrBadSpec},
+		{"qamkp", `{"deltat":-1}`, core.ErrBadSpec},
+		{"qamkp", `{"shots":-1,"deltat":2000}`, core.ErrBadSpec},
+		{"qamkp", fmt.Sprintf(`{"shots":%d}`, MaxShots+1), core.ErrTooLarge},
+		{"qamkp", `{"shots":100000000000}`, core.ErrTooLarge},
+		{"qamkp", fmt.Sprintf(`{"deltat":%d}`, MaxDeltaT+1), core.ErrTooLarge},
+		{"qamkp", fmt.Sprintf(`{"r":2,"shots":%d,"deltat":%d}`, MaxShots, MaxDeltaT), nil},
+		{"qamkp", `{"shots":10000,"deltat":200}`, nil},
+		{"qamkp", `{}`, nil},
+		{"qmkp", `{"shots":-5,"deltat":100000000000}`, nil},
+	} {
+		doc := fmt.Sprintf(`{"v":1,"algo":%q,"k":2,%s,"anneal":%s}`, tc.algo, g, tc.anneal)
+		_, err := DecodeSolveRequest(strings.NewReader(doc))
+		if tc.want == nil {
+			if err != nil {
+				t.Errorf("%s: %v", doc, err)
+			}
+			continue
+		}
+		if !errors.Is(err, tc.want) {
+			t.Errorf("%s: error %v, want %v", doc, err, tc.want)
+		}
+		if tc.want == core.ErrTooLarge && errors.Is(err, core.ErrBadSpec) {
+			t.Errorf("%s: error %v also wraps ErrBadSpec", doc, err)
+		}
 	}
 }
 

@@ -16,8 +16,8 @@ import (
 //	(success)            0    200
 //	ErrBadSpec           2    400  malformed request, k/T out of range
 //	ErrTooLarge          3    413  past a size cap: the gate simulator's,
-//	                              naive's, or the daemon's vertex or
-//	                              request-body cap
+//	                              naive's, qaMKP's shots or Δt, or the
+//	                              daemon's vertex or request-body cap
 //	ErrInfeasible        4    200  verified absence IS the answer; it is
 //	                              delivered in-band with error_kind set
 //	ErrCanceled          5    408  deadline or cancellation; the body

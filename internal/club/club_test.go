@@ -216,7 +216,7 @@ func TestClubFastPathMatchesCircuit(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ctt, ftt := circuit.TruthTable(), fast.TruthTable()
+		ctt, ftt := truthTable(t, circuit), truthTable(t, fast)
 		for mask := range ctt {
 			if ctt[mask] != ftt[mask] {
 				t.Fatalf("n=%d L=%d T=%d mask=%b: circuit %v, fast %v",
@@ -243,10 +243,10 @@ func TestClubTruthTableDeterministicAcrossWorkers(t *testing.T) {
 			t.Fatal(err)
 		}
 		prev := parallel.SetWorkers(1)
-		want := o.TruthTable()
+		want := truthTable(t, o)
 		for _, w := range []int{2, 8} {
 			parallel.SetWorkers(w)
-			got := o.TruthTable()
+			got := truthTable(t, o)
 			for mask := range want {
 				if got[mask] != want[mask] {
 					t.Fatalf("fast=%v workers=%d: truth table differs at mask %b",
@@ -270,5 +270,44 @@ func TestQMaxClubHonoursCancellation(t *testing.T) {
 	}
 	if got.Size != len(got.Set) || !IsNClub(g, got.Set, 2) {
 		t.Errorf("cut search returned %+v, not a 2-club of its size", got)
+	}
+}
+
+// truthTable sweeps o's whole table under a context that is never cut.
+func truthTable(t *testing.T, o *Oracle) []bool {
+	t.Helper()
+	tt, err := o.TruthTable(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tt
+}
+
+// A cut sweep stops at the next chunk boundary: under a context that is
+// already cancelled it evaluates no chunk, on either path and at any
+// worker count, and TruthTable returns the context's error and no table.
+func TestTruthTableHonoursCancellation(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	prev := parallel.SetWorkers(1)
+	defer parallel.SetWorkers(prev)
+	for _, tc := range []struct {
+		n    int
+		opts Options
+	}{{16, Options{FastPath: true}}, {8, Options{}}} {
+		o, err := BuildOracle(graph.Gnm(tc.n, 2*tc.n, 7), 2, 3, tc.opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, w := range []int{1, 4} {
+			parallel.SetWorkers(w)
+			if _, swept := o.sweep(ctx); swept != 0 {
+				t.Errorf("n=%d fast=%v workers=%d: a cancelled sweep evaluated %d of %d masks", tc.n, tc.opts.FastPath, w, swept, 1<<tc.n)
+			}
+			tt, err := o.TruthTable(ctx)
+			if !errors.Is(err, context.Canceled) || tt != nil {
+				t.Errorf("n=%d fast=%v workers=%d: TruthTable = %d entries, %v; want none and context.Canceled", tc.n, tc.opts.FastPath, w, len(tt), err)
+			}
+		}
 	}
 }

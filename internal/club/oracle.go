@@ -1,6 +1,7 @@
 package club
 
 import (
+	"context"
 	"fmt"
 	"math/bits"
 
@@ -270,25 +271,47 @@ const (
 // TruthTable evaluates the oracle on all 2^n masks, fanning the sweep out
 // over the parallel pool — semantic word arithmetic when the fast path is
 // enabled, per-worker scratch circuit replay otherwise. The table is
-// bit-identical at any worker count and across the two paths.
-func (o *Oracle) TruthTable() []bool {
+// bit-identical at any worker count and across the two paths. ctx is
+// checked at every chunk boundary; a cut sweep returns no table and the
+// context's error.
+func (o *Oracle) TruthTable(ctx context.Context) ([]bool, error) {
+	tt, swept := o.sweep(ctx)
+	if swept < len(tt) {
+		return nil, fmt.Errorf("club: truth table cut after %d of %d masks: %w", swept, len(tt), ctx.Err())
+	}
+	return tt, nil
+}
+
+// sweep fills the truth table chunk by chunk, skipping every chunk that
+// starts once ctx is done, and returns it with the number of masks it
+// evaluated.
+func (o *Oracle) sweep(ctx context.Context) ([]bool, int) {
 	tt := make([]bool, 1<<uint(o.N))
-	if o.adjKet != nil {
-		parallel.For(len(tt), fastTableGrain, func(lo, hi int) {
+	grain, newScratch := fastTableGrain, func() *bitvec.Vector { return nil }
+	if o.adjKet == nil {
+		grain, newScratch = truthTableGrain, func() *bitvec.Vector { return bitvec.New(o.circuit.NumQubits()) }
+	}
+	swept := make([]int, (len(tt)+grain-1)/grain) // masks evaluated, per chunk
+	parallel.ForScratch(len(tt), grain, newScratch, func(st *bitvec.Vector, lo, hi int) {
+		if ctx.Err() != nil {
+			return
+		}
+		if st == nil {
 			for mask := lo; mask < hi; mask++ {
 				tt[mask] = o.markedFast(uint64(mask))
 			}
-		})
-		return tt
-	}
-	parallel.ForScratch(len(tt), truthTableGrain,
-		func() *bitvec.Vector { return bitvec.New(o.circuit.NumQubits()) },
-		func(st *bitvec.Vector, lo, hi int) {
+		} else {
 			for mask := lo; mask < hi; mask++ {
 				tt[mask] = o.markedInto(st, uint64(mask))
 			}
-		})
-	return tt
+		}
+		swept[lo/grain] = hi - lo
+	})
+	n := 0
+	for _, c := range swept {
+		n += c
+	}
+	return tt, n
 }
 
 // TotalGates returns the gate count of one oracle call.

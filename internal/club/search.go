@@ -15,8 +15,8 @@ import (
 // size ≥ T. Returns the verified set, or Found=false. Each call builds a
 // 2^n-entry truth table and a Grover register of n qubits, so it
 // refuses n past qsim.MaxStatevectorQubits, the widest register the
-// Grover engine accepts. ctx is honoured inside the Grover try loop; a
-// cut search returns the context's error.
+// Grover engine accepts. ctx is honoured inside the truth-table sweep
+// and the Grover try loop; a cut search returns the context's error.
 func QTClub(ctx context.Context, g *graph.Graph, L, T int, rng *rand.Rand) (Result, bool, error) {
 	if rng == nil {
 		rng = rand.New(rand.NewSource(1))
@@ -32,7 +32,10 @@ func QTClub(ctx context.Context, g *graph.Graph, L, T int, rng *rand.Rand) (Resu
 	if err != nil {
 		return Result{}, false, err
 	}
-	tt := orc.TruthTable()
+	tt, err := orc.TruthTable(ctx)
+	if err != nil {
+		return Result{}, false, err
+	}
 	m := 0
 	for mask := range tt {
 		if tt[mask] {
