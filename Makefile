@@ -74,9 +74,11 @@ race:
 
 # Race detector over the wave-parallel branch-and-bound at a high worker
 # count: the worker-invariance and differential tests exercise the
-# ForScratch fan-out and the frozen-incumbent waves under contention.
+# per-search worker states (parallel.Scratch) and the frozen-incumbent
+# waves under contention; the feasibility, saturated-root-bound and
+# allocation-ceiling tests cover the engine's bookkeeping and frontier.
 race-bb:
-	REPRO_WORKERS=8 $(GO) test -race -run 'BranchBound|Differential|KernelMatchesRaw' \
+	REPRO_WORKERS=8 $(GO) test -race -run 'BranchBound|Differential|KernelMatchesRaw|Feasible|AllocCeiling' \
 		./internal/kplex/
 
 # One iteration of every benchmark: catches benchmarks that panic or
@@ -84,9 +86,11 @@ race-bb:
 # (root BenchmarkOracleSweep/BenchmarkQMKPBinarySearch pairs included),
 # the request decoder (BenchmarkDecodeSolveRequest) and the oracle
 # compiler (BenchmarkBuildOpts, and BenchmarkStagesBuild, one qMKP
-# probe's share of it, in ./internal/oracle/) and the qaMKP sampler
+# probe's share of it, in ./internal/oracle/), the qaMKP sampler
 # (BenchmarkSQA, kept-field and recomputed-field paths, in
-# ./internal/anneal/).
+# ./internal/anneal/) and the exact search (BenchmarkBBOpt, an
+# exact-cold-shaped and a dense graph with allocations reported, in
+# ./internal/kplex/).
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x . ./internal/kplex/ ./internal/fastoracle/ ./internal/api/ ./internal/oracle/ ./internal/anneal/
 

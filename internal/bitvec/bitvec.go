@@ -180,6 +180,19 @@ func (v *Vector) AndNotCount(o *Vector) int {
 	return c
 }
 
+// AndNotOrCount returns popcount(v ∧ ¬(a ∨ b)) — the number of positions
+// set in v but in neither a nor b — in one pass over the three vectors,
+// without materialising the difference. The lengths must match.
+func (v *Vector) AndNotOrCount(a, b *Vector) int {
+	v.checkLen(a, "AndNotOrCount")
+	v.checkLen(b, "AndNotOrCount")
+	c := 0
+	for i, w := range v.words {
+		c += bits.OnesCount64(w &^ (a.words[i] | b.words[i]))
+	}
+	return c
+}
+
 // NextSet returns the smallest set index ≥ i, or -1 when no set bit
 // remains. The canonical iteration over members of a subset vector is
 //

@@ -300,6 +300,17 @@ func TestInPlaceKernelsAgainstModel(t *testing.T) {
 			if got := a.AndNotCount(b); got != wantAndNotCount {
 				t.Fatalf("n=%d: AndNotCount = %d, want %d", n, got, wantAndNotCount)
 			}
+			// AndNotOrCount against a third vector: a ∧ ¬(b ∨ c).
+			c, _, mc, _ := randomPair(n, rng)
+			wantAndNotOrCount := 0
+			for i := 0; i < n; i++ {
+				if ma[i] && !mb[i] && !mc[i] {
+					wantAndNotOrCount++
+				}
+			}
+			if got := a.AndNotOrCount(b, c); got != wantAndNotOrCount {
+				t.Fatalf("n=%d: AndNotOrCount = %d, want %d", n, got, wantAndNotOrCount)
+			}
 			// The in-place kernels must preserve the padding invariant.
 			for _, v := range []*Vector{and, or, andNot} {
 				count := 0
@@ -392,10 +403,12 @@ func TestNextSetRandomAgainstModel(t *testing.T) {
 func TestKernelLengthMismatchPanics(t *testing.T) {
 	a, b := New(10), New(11)
 	for name, fn := range map[string]func(){
-		"And":         func() { a.And(b) },
-		"Or":          func() { a.Or(b) },
-		"AndNot":      func() { a.AndNot(b) },
-		"AndNotCount": func() { a.AndNotCount(b) },
+		"And":                  func() { a.And(b) },
+		"Or":                   func() { a.Or(b) },
+		"AndNot":               func() { a.AndNot(b) },
+		"AndNotCount":          func() { a.AndNotCount(b) },
+		"AndNotOrCount":        func() { a.AndNotOrCount(b, a) },
+		"AndNotOrCount/second": func() { a.AndNotOrCount(a, b) },
 	} {
 		func() {
 			defer func() {

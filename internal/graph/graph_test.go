@@ -1,7 +1,9 @@
 package graph
 
 import (
+	"fmt"
 	"math/rand"
+	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -166,6 +168,67 @@ func TestInducedDegreeAndSubgraph(t *testing.T) {
 			t.Errorf("ids[%d] = %d, want %d", i, v, set[i])
 		}
 	}
+}
+
+// inducedSubgraphReference is InducedSubgraph as it was before the row
+// walk, less the index map it built and never read: every pair of the
+// sorted set probed bit by bit.
+func inducedSubgraphReference(g *Graph, set []int) (*Graph, []int) {
+	vs := append([]int(nil), set...)
+	sort.Ints(vs)
+	for _, v := range vs {
+		g.checkVertex(v)
+	}
+	sub := New(len(vs))
+	for i, v := range vs {
+		for j := i + 1; j < len(vs); j++ {
+			if g.adj[v].Get(vs[j]) {
+				sub.AddEdge(i, j)
+			}
+		}
+	}
+	return sub, vs
+}
+
+// The row walk must induce exactly the subgraph and mapping the pairwise
+// probe did: on the empty set, single vertices, the whole graph, sets of
+// 63, 64 and 65 vertices (one word, full, and one past) and random sets,
+// in unsorted input order, on graphs from sparse to dense.
+func TestInducedSubgraphMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	for trial := 0; trial < 30; trial++ {
+		n := 66 + rng.Intn(100)
+		g := Gnp(n, []float64{0.01, 0.05, 0.2, 0.5, 0.9}[trial%5], rng.Int63())
+		sets := [][]int{nil, {rng.Intn(n)}, rng.Perm(n)}
+		for _, size := range []int{63, 64, 65, rng.Intn(n + 1), rng.Intn(n + 1)} {
+			sets = append(sets, rng.Perm(n)[:size])
+		}
+		for _, set := range sets {
+			where := fmt.Sprintf("trial %d n=%d |set|=%d", trial, n, len(set))
+			gotSub, gotIDs := g.InducedSubgraph(set)
+			wantSub, wantIDs := inducedSubgraphReference(g, set)
+			if fmt.Sprint(gotIDs) != fmt.Sprint(wantIDs) {
+				t.Fatalf("%s: ids %v, reference %v", where, gotIDs, wantIDs)
+			}
+			if gotSub.N() != wantSub.N() || gotSub.M() != wantSub.M() {
+				t.Fatalf("%s: %v, reference %v", where, gotSub, wantSub)
+			}
+			if fmt.Sprint(gotSub.Edges()) != fmt.Sprint(wantSub.Edges()) {
+				t.Fatalf("%s: edges differ from the reference", where)
+			}
+			for v := 0; v < gotSub.N(); v++ {
+				if gotSub.Degree(v) != wantSub.Degree(v) {
+					t.Fatalf("%s: degree of %d is %d, reference %d", where, v, gotSub.Degree(v), wantSub.Degree(v))
+				}
+			}
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a repeated vertex did not panic")
+		}
+	}()
+	Gnp(5, 0.5, 1).InducedSubgraph([]int{1, 3, 1})
 }
 
 func TestCommonNeighbors(t *testing.T) {

@@ -21,25 +21,30 @@ import (
 const bbWaveSize = 64
 
 // bbGraph is the instance as the search reads it: the vertex count, k,
-// and every vertex's complement row as a natural-order bit vector (bit u
-// set iff {v,u} is a complement edge; no self bit), packed into as many
-// words as n needs.
+// every vertex's complement row as a natural-order bit vector (bit u set
+// iff {v,u} is a complement edge; no self bit), packed into as many words
+// as n needs, and every vertex's neighbour list.
 type bbGraph struct {
 	n, k    int
 	compVec []*bitvec.Vector
+	nbrs    [][]int
 }
 
-// newBBGraph builds the complement rows of g for plex parameter k.
+// newBBGraph builds the complement rows and neighbour lists of g for plex
+// parameter k.
 func newBBGraph(g *graph.Graph, k int) *bbGraph {
 	n := g.N()
-	e := &bbGraph{n: n, k: k, compVec: make([]*bitvec.Vector, n)}
+	e := &bbGraph{n: n, k: k, compVec: make([]*bitvec.Vector, n), nbrs: make([][]int, n)}
 	for v := 0; v < n; v++ {
 		// Complement row = all vertices minus v itself minus g-neighbours.
+		nb := g.Neighbors(v)
 		row := bitvec.New(n)
 		row.SetAll()
 		row.Set(v, false)
-		row.AndNot(g.NeighborVec(v))
-		e.compVec[v] = row
+		for _, u := range nb {
+			row.Set(u, false)
+		}
+		e.compVec[v], e.nbrs[v] = row, nb
 	}
 	return e
 }
@@ -74,13 +79,17 @@ func newBBGraph(g *graph.Graph, k int) *bbGraph {
 // over the candidates after j. Before a task touches any scratch state,
 // its root bound is taken with word operations alone (rootBound); a task
 // that cannot beat the wave's incumbent costs no search node. Tasks run
-// in fixed waves of bbWaveSize: within a wave every task prunes against
-// the same frozen incumbent size, and between waves the per-task results
-// merge in task order (first strict improvement wins). Which worker runs
-// a task never affects what the task computes, so Size, Set and Nodes are
-// bit-identical at any REPRO_WORKERS setting — the serial path is simply
-// the same schedule on one worker. Nodes counts the search-tree nodes
-// visited, the implicit root included.
+// in fixed waves of bbWaveSize, taken from a cursor over the pairs in
+// lexicographic order as each wave starts: within a wave every task
+// prunes against the same frozen incumbent size, and between waves the
+// per-task results merge in task order (first strict improvement wins).
+// Which worker runs a task never affects what the task computes, so
+// Size, Set and Nodes are bit-identical at any REPRO_WORKERS setting —
+// the serial path is simply the same schedule on one worker. Each worker
+// keeps one search state for the whole search (parallel.Scratch): a
+// state is balanced again after every task, so what it carries over is
+// buffer capacity only. Nodes counts the search-tree nodes visited, the
+// implicit root included.
 //
 // Cancellation and deadline are polled once per wave — between waves
 // every worker has joined, so stopping there abandons no goroutine and
@@ -104,34 +113,45 @@ func branchBound(ctx context.Context, g *graph.Graph, k int, order []int, minSiz
 		bestSet = []int{order[0]}
 	}
 	nodes := int64(1) // the implicit root node
-	tasks := e.rootTasks(order)
 	later := laterSets(order)
-	results := make([]bbTaskResult, bbWaveSize)
+	// Every pair is a root task, except that at k = 1 a complement pair
+	// is no 1-plex: there the tasks are g's edges.
+	total := e.n * (e.n - 1) / 2
+	if k == 1 {
+		total = g.M()
+	}
 	finish := func() Result {
 		out := append([]int(nil), bestSet...)
 		sort.Ints(out)
 		return Result{Size: best, Set: out, Nodes: nodes}
 	}
+	states := parallel.NewScratch(func() *bbState { return newBBState(e) })
+	wave := make([]bbTask, 0, bbWaveSize)
+	results := make([]bbTaskResult, bbWaveSize)
+	var (
+		frozen int
+		res    []bbTaskResult
+	)
+	runWave := func(s *bbState, tlo, thi int) {
+		for t := tlo; t < thi; t++ {
+			s.runTask(&res[t], order, later, wave[t], frozen)
+		}
+	}
+	next, done := bbTask{i: 0, j: 1}, 0
 	//ctx:boundary round
-	for lo := 0; lo < len(tasks); lo += bbWaveSize {
+	for {
+		wave = e.nextWave(order, &next, wave[:0])
+		if len(wave) == 0 {
+			break
+		}
 		if err := ctx.Err(); err != nil {
 			return finish(), fmt.Errorf("kplex: branch-and-bound canceled after %d of %d root tasks: %w",
-				lo, len(tasks), err)
+				done, total, err)
 		}
-		hi := lo + bbWaveSize
-		if hi > len(tasks) {
-			hi = len(tasks)
-		}
-		wave := tasks[lo:hi]
-		frozen := best
-		res := results[:len(wave)]
-		parallel.ForScratch(len(wave), 1,
-			func() *bbState { return newBBState(e) },
-			func(s *bbState, tlo, thi int) {
-				for t := tlo; t < thi; t++ {
-					res[t] = s.runTask(order, later, wave[t], frozen)
-				}
-			})
+		frozen = best
+		res = results[:len(wave)]
+		clear(res)
+		states.For(len(wave), 1, runWave)
 		// Chunk-ordered merge: improvements are adopted in task order, so
 		// the winning set is the one the serial schedule would keep.
 		for _, r := range res {
@@ -140,6 +160,7 @@ func branchBound(ctx context.Context, g *graph.Graph, k int, order []int, minSiz
 				best, bestSet = r.size, r.set
 			}
 		}
+		done += len(wave)
 	}
 	return finish(), nil
 }
@@ -151,28 +172,33 @@ type bbTask struct {
 }
 
 // bbTaskResult is what one subtree task reports back for the
-// chunk-ordered merge.
+// chunk-ordered merge. A task its root bound prunes writes nothing, so its
+// slot keeps the zero value, which the merge passes over.
 type bbTaskResult struct {
 	size  int
 	set   []int
 	nodes int64
 }
 
-// rootTasks enumerates the feasible pair roots in lexicographic order of
-// their branch-order positions. A pair {u, v} is a k-plex unless the two
-// are complement-adjacent (each then carries one complement neighbour)
-// and k = 1.
-func (e *bbGraph) rootTasks(order []int) []bbTask {
-	var tasks []bbTask
-	for i := 0; i < e.n; i++ {
-		for j := i + 1; j < e.n; j++ {
-			if e.k == 1 && e.compVec[order[i]].Get(order[j]) {
-				continue
-			}
-			tasks = append(tasks, bbTask{i: int32(i), j: int32(j)})
+// nextWave appends to wave the feasible pair roots from the cursor on, in
+// lexicographic order of their branch-order positions, until the wave
+// holds bbWaveSize tasks or the pairs run out, and advances the cursor
+// past them. A pair {u, v} is a k-plex unless the two are
+// complement-adjacent (each then carries one complement neighbour) and
+// k = 1.
+func (e *bbGraph) nextWave(order []int, next *bbTask, wave []bbTask) []bbTask {
+	t, n := *next, int32(e.n)
+	for len(wave) < bbWaveSize && t.i < n-1 {
+		if e.k != 1 || !e.compVec[order[t.i]].Get(order[t.j]) {
+			wave = append(wave, t)
+		}
+		if t.j++; t.j == n {
+			t.i++
+			t.j = t.i + 1
 		}
 	}
-	return tasks
+	*next = t
+	return wave
 }
 
 // laterSets returns later[j], the set of vertices at branch positions
@@ -190,14 +216,15 @@ func laterSets(order []int) []*bitvec.Vector {
 
 // runTask searches the subtree rooted at P = {order[t.i], order[t.j]}
 // with candidates order[t.j+1:], pruning against the wave's frozen
-// incumbent size. The scratch state is returned balanced (adds undone),
-// so one bbState serves every task a worker pulls.
-func (b *bbState) runTask(order []int, later []*bitvec.Vector, t bbTask, frozen int) bbTaskResult {
+// incumbent size, and writes what it found to out, a zeroed slot. The
+// scratch state is returned balanced (adds undone), so one bbState serves
+// every task a worker pulls.
+func (b *bbState) runTask(out *bbTaskResult, order []int, later []*bitvec.Vector, t bbTask, frozen int) {
 	// Even taking every later candidate cannot beat the incumbent, or the
 	// root's own bound cannot: skip without touching the scratch state.
 	if 2+len(order)-1-int(t.j) <= frozen ||
 		b.rootBound(order[t.i], order[t.j], later[t.j], frozen) <= frozen {
-		return bbTaskResult{size: frozen}
+		return
 	}
 	b.best = frozen
 	b.bestSet = b.bestSet[:0]
@@ -207,11 +234,10 @@ func (b *bbState) runTask(order []int, later []*bitvec.Vector, t bbTask, frozen 
 	b.search(order[t.j+1:])
 	b.remove(order[t.j])
 	b.remove(order[t.i])
-	out := bbTaskResult{size: b.best, nodes: b.nodes}
+	out.size, out.nodes = b.best, b.nodes
 	if len(b.bestSet) > 0 {
 		out.set = append([]int(nil), b.bestSet...)
 	}
-	return out
 }
 
 // validPermutation reports whether order is a permutation of [0, n).
@@ -230,17 +256,17 @@ func validPermutation(order []int, n int) bool {
 }
 
 // bbState is the mutable frame of one branch-and-bound worker: the
-// current partial plex P, for every vertex v the running complement
-// degree cdeg[v] = |compVec(v) ∩ P|, the membership vector, and the
-// saturated-member vector sat — members u with cdeg[u] = k-1, whose
-// complement neighbours are exactly the vertices P can no longer absorb.
+// current partial plex P, for every vertex x the count adjP[x] =
+// |N(x) ∩ P| of its neighbours in P, and the saturated-member vector sat
+// — members u with cdeg(u) = k-1, whose complement neighbours are exactly
+// the vertices P can no longer absorb. Complement degrees are derived,
+// not stored: cdeg(x) = |compVec(x) ∩ P| = |P| - adjP[x] - [x ∈ P].
 // Per-depth candidate buffers and the bounds' scratch (root, both, room,
 // open) make a search node allocation-free after warm-up.
 type bbState struct {
 	e       *bbGraph
 	pList   []int
-	cdeg    []int
-	inP     *bitvec.Vector
+	adjP    []int
 	sat     *bitvec.Vector
 	best    int
 	bestSet []int
@@ -258,16 +284,20 @@ type bbState struct {
 func newBBState(e *bbGraph) *bbState {
 	return &bbState{
 		e:    e,
-		cdeg: make([]int, e.n),
-		inP:  bitvec.New(e.n),
+		adjP: make([]int, e.n),
 		sat:  bitvec.New(e.n),
 		root: bitvec.New(e.n),
 		both: bitvec.New(e.n),
 	}
 }
 
+// memberCdeg returns cdeg(u) for a member u of P.
+func (b *bbState) memberCdeg(u int) int {
+	return len(b.pList) - 1 - b.adjP[u]
+}
+
 // rootBound bounds the subtree rooted at P = {u, v} over pool, the
-// vertices after v in branch order, with word operations only. It builds
+// vertices after v in branch order, with word operations only. It takes
 // the root's exact feasible set F — what feasibleCands would return once
 // u and v were added — and returns the partition bound over it. Both
 // members carry cdeg c (1 when u and v are complement-adjacent), so a
@@ -275,6 +305,11 @@ func newBBState(e *bbGraph) *bbState {
 // complement neighbour of u or v) or k = 2 (a complement neighbour of
 // both), and a member is saturated only when c = k-1, which drops its
 // whole complement row. At k ≥ 3 F is the whole pool.
+//
+// When both members are saturated (k = 1, or a non-adjacent pair at
+// k = 2), F = pool ∩ N(u) ∩ N(v): no candidate left misses a member, so
+// the partition bound charges nothing and is exactly 2 + |F|, one fused
+// popcount over the three rows.
 func (b *bbState) rootBound(u, v int, pool *bitvec.Vector, best int) int {
 	e := b.e
 	k1 := e.k - 1
@@ -282,14 +317,12 @@ func (b *bbState) rootBound(u, v int, pool *bitvec.Vector, best int) int {
 	if e.compVec[u].Get(v) {
 		c = 1
 	}
+	if c == k1 {
+		return 2 + pool.AndNotOrCount(e.compVec[u], e.compVec[v])
+	}
 	f := b.root
 	f.CopyFrom(pool)
-	switch {
-	case c == k1:
-		// Both members saturated (k = 1, or a non-adjacent pair at k = 2).
-		f.AndNot(e.compVec[u])
-		f.AndNot(e.compVec[v])
-	case k1 == 1:
+	if k1 == 1 {
 		// An adjacent pair at k = 2: a candidate missing both would carry
 		// cdeg 2.
 		both := b.both
@@ -353,49 +386,44 @@ func (b *bbState) partitionBound(members, room []int, cand *bitvec.Vector, ncand
 	return ub
 }
 
-// feasible reports whether P ∪ {v} is still a k-plex: v itself must have
-// complement budget left, and no saturated member may gain v as a
-// complement neighbour. The second half is one early-exit word scan of
-// the saturation vector — complement adjacency is symmetric, so
-// "compVec[u].Get(v) for some saturated u" is exactly
+// feasible reports whether P ∪ {v} is still a k-plex, for v outside P:
+// v itself must have complement budget left, and no saturated member may
+// gain v as a complement neighbour. The second half is one early-exit
+// word scan of the saturation vector — complement adjacency is symmetric,
+// so "compVec[u].Get(v) for some saturated u" is exactly
 // "compVec[v] intersects sat".
 func (b *bbState) feasible(v int) bool {
-	return b.cdeg[v] <= b.e.k-1 && !b.e.compVec[v].Intersects(b.sat)
+	return len(b.pList)-b.adjP[v] <= b.e.k-1 && !b.e.compVec[v].Intersects(b.sat)
 }
 
-// add appends v to P and maintains cdeg and the saturation vector: every
-// complement neighbour of v gains a complement member, and any member
-// reaching budget k-1 (v itself included) becomes saturated. v must have
-// passed feasible, so no member exceeds the budget.
+// add appends v to P: every neighbour of v gains a neighbour in P, and
+// the members' saturation is recomputed, since every member not adjacent
+// to v gains a complement member. O(deg v + |P|). v must have passed
+// feasible, so no member exceeds the budget.
 func (b *bbState) add(v int) {
 	b.pList = append(b.pList, v)
-	b.inP.Set(v, true)
-	k1 := b.e.k - 1
-	row := b.e.compVec[v]
-	for u := row.NextSet(0); u >= 0; u = row.NextSet(u + 1) {
-		b.cdeg[u]++
-		if b.cdeg[u] == k1 && b.inP.Get(u) {
-			b.sat.Set(u, true)
-		}
+	for _, u := range b.e.nbrs[v] {
+		b.adjP[u]++
 	}
-	if b.cdeg[v] == k1 {
-		b.sat.Set(v, true)
-	}
+	b.saturate()
 }
 
-// remove undoes add: v leaves P, its complement neighbours drop a
-// complement member, and members falling below budget k-1 unsaturate.
+// remove undoes add: v leaves P and unsaturates, its neighbours lose a
+// neighbour in P, and the members' saturation is recomputed.
 func (b *bbState) remove(v int) {
 	b.pList = b.pList[:len(b.pList)-1]
-	b.inP.Set(v, false)
 	b.sat.Set(v, false)
+	for _, u := range b.e.nbrs[v] {
+		b.adjP[u]--
+	}
+	b.saturate()
+}
+
+// saturate sets sat to the members at complement budget k-1.
+func (b *bbState) saturate() {
 	k1 := b.e.k - 1
-	row := b.e.compVec[v]
-	for u := row.NextSet(0); u >= 0; u = row.NextSet(u + 1) {
-		if b.cdeg[u] == k1 {
-			b.sat.Set(u, false)
-		}
-		b.cdeg[u]--
+	for _, u := range b.pList {
+		b.sat.Set(u, b.memberCdeg(u) == k1)
 	}
 }
 
@@ -435,7 +463,7 @@ func (b *bbState) search(cand []int) {
 	}
 	room := b.room[:0]
 	for _, u := range b.pList {
-		room = append(room, b.e.k-1-b.cdeg[u])
+		room = append(room, b.e.k-1-b.memberCdeg(u))
 	}
 	b.room = room
 	if b.partitionBound(b.pList, room, feasVec, len(feas), b.best) <= b.best {

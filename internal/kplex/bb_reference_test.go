@@ -8,6 +8,7 @@ import (
 	"sort"
 	"testing"
 
+	"repro/internal/bitvec"
 	"repro/internal/graph"
 	"repro/internal/parallel"
 	"repro/internal/reduce"
@@ -56,6 +57,29 @@ func (e *bbGraph) branchBoundReference(order []int, minSize int) Result {
 	return Result{Size: best, Set: out, Nodes: nodes}
 }
 
+// rootTasks enumerates the feasible pair roots in lexicographic order of
+// their branch-order positions, all at once: the task list the engine's
+// wave cursor walks. A pair {u, v} is a k-plex unless the two are
+// complement-adjacent (each then carries one complement neighbour) and
+// k = 1.
+func (e *bbGraph) rootTasks(order []int) []bbTask {
+	var tasks []bbTask
+	for i := 0; i < e.n; i++ {
+		for j := i + 1; j < e.n; j++ {
+			if e.k == 1 && e.compVec[order[i]].Get(order[j]) {
+				continue
+			}
+			tasks = append(tasks, bbTask{i: int32(i), j: int32(j)})
+		}
+	}
+	return tasks
+}
+
+// runTaskReference searches one task without a root bound. It shares the
+// engine's add and remove for the member list, but reads complement
+// degrees and feasibility only from scratch (referenceCdeg,
+// referenceFeasible), never from the engine's neighbour counts and
+// saturation vector.
 func (b *bbState) runTaskReference(order []int, t bbTask, frozen int) bbTaskResult {
 	if 2+len(order)-1-int(t.j) <= frozen {
 		return bbTaskResult{size: frozen}
@@ -81,13 +105,13 @@ func (b *bbState) searchReference(cand []int) {
 		b.best = len(b.pList)
 		b.bestSet = append(b.bestSet[:0], b.pList...)
 	}
-	feas, feasVec := b.feasibleCands(cand)
+	feas, feasVec := b.feasibleCandsReference(cand)
 	ub := len(b.pList) + len(feas)
 	if ub <= b.best {
 		return
 	}
 	for _, u := range b.pList {
-		if excess := b.e.compVec[u].AndCount(feasVec) - (b.e.k - 1 - b.cdeg[u]); excess > 0 {
+		if excess := b.e.compVec[u].AndCount(feasVec) - (b.e.k - 1 - referenceCdeg(b, u)); excess > 0 {
 			if bound := len(b.pList) + len(feas) - excess; bound < ub {
 				ub = bound
 			}
@@ -103,6 +127,26 @@ func (b *bbState) searchReference(cand []int) {
 	b.remove(v)
 	b.searchReference(feas[1:])
 	b.depth--
+}
+
+// feasibleCandsReference is feasibleCands with referenceFeasible as the
+// filter, in the same per-depth buffers.
+func (b *bbState) feasibleCandsReference(cand []int) ([]int, *bitvec.Vector) {
+	for len(b.cands) <= b.depth {
+		b.cands = append(b.cands, nil)
+		b.vecs = append(b.vecs, bitvec.New(b.e.n))
+	}
+	feas := b.cands[b.depth][:0]
+	feasVec := b.vecs[b.depth]
+	feasVec.Clear()
+	for _, v := range cand {
+		if referenceFeasible(b, v) {
+			feas = append(feas, v)
+			feasVec.Set(v, true)
+		}
+	}
+	b.cands[b.depth] = feas
+	return feas, feasVec
 }
 
 // checkMatchesReference runs branchBound at 1 and 8 workers under four

@@ -26,16 +26,20 @@ func solveBB(tb testing.TB, g *graph.Graph, k, minSize int) Result {
 
 // degeneracyOrderReference is the branch order the engine used to
 // compute for itself: repeated minimum-degree removal (ties by lowest
-// index) reconstructed from the complement rows (deg(v) = n-1-cdeg(v)).
-// Kept verbatim as the reference reduce.DegeneracyOrder must reproduce.
-func (e *bbGraph) degeneracyOrderReference() []int {
+// index) reconstructed from the complement rows (deg(v) = n-1-cdeg(v)),
+// with a full scan for the minimum per removal. Kept as the reference
+// reduce.DegeneracyOrder must reproduce, plus the core numbers: a
+// vertex's core number is the largest degree at removal seen so far.
+func (e *bbGraph) degeneracyOrderReference() (order, core []int) {
 	n := e.n
 	removed := make([]bool, n)
 	deg := make([]int, n)
 	for v := 0; v < n; v++ {
 		deg[v] = n - 1 - e.compVec[v].OnesCount()
 	}
-	order := make([]int, 0, n)
+	order = make([]int, 0, n)
+	core = make([]int, n)
+	running := 0
 	for len(order) < n {
 		u := -1
 		for v := 0; v < n; v++ {
@@ -43,6 +47,8 @@ func (e *bbGraph) degeneracyOrderReference() []int {
 				u = v
 			}
 		}
+		running = max(running, deg[u])
+		core[u] = running
 		removed[u] = true
 		order = append(order, u)
 		row := e.compVec[u]
@@ -52,25 +58,117 @@ func (e *bbGraph) degeneracyOrderReference() []int {
 			}
 		}
 	}
-	return order
+	return order, core
 }
 
 // The one degeneracy peel in reduce must hand the engine exactly the
 // order its retired private peel computed, so node counts and witnesses
-// are unchanged.
+// are unchanged, and the core numbers that CoreUpperBound and the kernel
+// stats read. Densities run from a mean degree below one to near
+// complete, and one graph in four is padded with isolated vertices
+// scattered among the others.
 func TestDegeneracyOrderMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(57))
-	for trial := 0; trial < 300; trial++ {
+	for trial := 0; trial < 400; trial++ {
 		n := 1 + rng.Intn(150)
-		g := graph.Gnp(n, rng.Float64(), rng.Int63())
-		want := newBBGraph(g, 1).degeneracyOrderReference()
-		got, _ := reduce.DegeneracyOrder(g)
-		for i := range want {
-			if got[i] != want[i] {
+		p := rng.Float64()
+		if trial%2 == 1 {
+			p = min((0.2+4*rng.Float64())/float64(n), 1)
+		}
+		g := graph.Gnp(n, p, rng.Int63())
+		if trial%4 == 3 {
+			// Scatter g's vertices over a larger vertex set; the rest
+			// stay isolated.
+			big := n + 1 + rng.Intn(n)
+			at := rng.Perm(big)
+			var edges [][2]int
+			for _, ed := range g.Edges() {
+				edges = append(edges, [2]int{at[ed[0]], at[ed[1]]})
+			}
+			g, n = graph.FromEdges(big, edges), big
+		}
+		wantOrder, wantCore := newBBGraph(g, 1).degeneracyOrderReference()
+		gotOrder, gotCore := reduce.DegeneracyOrder(g)
+		for i := range wantOrder {
+			if gotOrder[i] != wantOrder[i] {
 				t.Fatalf("trial %d (n=%d): orders diverge at position %d: %v vs reference %v",
-					trial, n, i, got, want)
+					trial, n, i, gotOrder, wantOrder)
 			}
 		}
+		for v := range wantCore {
+			if gotCore[v] != wantCore[v] {
+				t.Fatalf("trial %d (n=%d): core[%d] = %d, reference %d", trial, n, v, gotCore[v], wantCore[v])
+			}
+		}
+	}
+}
+
+// For a pair whose members are both saturated (k = 1, or a non-adjacent
+// pair at k = 2), rootBound's closed form 2 + |later(j) ∩ N(u) ∩ N(v)|
+// must equal the partition bound over the feasible set built the general
+// way: later(j) minus both complement rows, both members with no room.
+// Every such pair of 40 random graphs at k = 1 and 2, from sparse to
+// dense, half of them past one word.
+func TestBranchBoundSaturatedRootBound(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	pairs := 0
+	for trial := 0; trial < 40; trial++ {
+		n := 2 + rng.Intn(40)
+		if trial%2 == 1 {
+			n = 65 + rng.Intn(70)
+		}
+		p := []float64{0.02, 0.1, 0.3, 0.6, 0.9}[trial%5]
+		g := graph.Gnp(n, p, rng.Int63())
+		order, _ := reduce.DegeneracyOrder(g)
+		later := laterSets(order)
+		for k := 1; k <= 2; k++ {
+			e := newBBGraph(g, k)
+			b := newBBState(e)
+			for i := 0; i < n; i++ {
+				for j := i + 1; j < n; j++ {
+					u, v := order[i], order[j]
+					if e.compVec[u].Get(v) != (k == 2) {
+						continue // not both saturated
+					}
+					f := later[j].Clone()
+					f.AndNot(e.compVec[u])
+					f.AndNot(e.compVec[v])
+					want := b.partitionBound([]int{u, v}, []int{0, 0}, f, f.OnesCount(), 0)
+					if got := b.rootBound(u, v, later[j], rng.Intn(n+2)); got != want {
+						t.Fatalf("trial %d G(%d, %.2f) k=%d pair (%d,%d): closed form %d, partition bound %d",
+							trial, n, p, k, i, j, got, want)
+					}
+					pairs++
+				}
+			}
+		}
+	}
+	if pairs == 0 {
+		t.Fatal("no saturated pair was checked")
+	}
+	t.Logf("%d saturated pairs checked", pairs)
+}
+
+// BBOpt on an exact-cold-shaped request (G(120, 480), k = 2, about 6 000
+// pair tasks in about 100 waves around a few hundred search nodes)
+// allocates in proportion to the graph, not to its tasks or waves: each
+// wave's tasks go into one buffer and each worker keeps one search state
+// for the whole search. Built all at once and with a fresh state per
+// wave, the same call allocated 3 195 times; the ceiling is half that.
+// One worker, so that the count does not include the pool's goroutines.
+func TestBBOptAllocCeiling(t *testing.T) {
+	g := graph.Gnm(120, 480, 1)
+	prev := parallel.SetWorkers(1)
+	defer parallel.SetWorkers(prev)
+	allocs := testing.AllocsPerRun(10, func() {
+		if _, err := BBOpt(context.Background(), g, 2, BBOptions{}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	const ceiling = 1600
+	t.Logf("%.0f allocations per call", allocs)
+	if allocs > ceiling {
+		t.Fatalf("BBOpt on G(120, 480) allocated %.0f times per call, ceiling %d", allocs, ceiling)
 	}
 }
 
@@ -263,24 +361,39 @@ func TestBranchBoundOrderOption(t *testing.T) {
 	}
 }
 
+// referenceCdeg is cdeg(u) = |compVec(u) ∩ P|, counted from scratch over
+// the member list rather than derived from the engine's neighbour
+// counts.
+func referenceCdeg(b *bbState, u int) int {
+	c := 0
+	for _, x := range b.pList {
+		if b.e.compVec[u].Get(x) {
+			c++
+		}
+	}
+	return c
+}
+
 // referenceFeasible is the pre-rewrite O(|P|) feasibility probe — a scan
-// of the member list against each member's saturation — kept here as the
-// semantic model for the incrementally maintained saturated-member
-// bitvec, and as the baseline of the benchmark pair below.
+// of the member list against each member's saturation — with every
+// complement degree counted from scratch. It is the semantic model for
+// the engine's neighbour counts and saturated-member bitvec, and the
+// baseline of the benchmark pair below.
 func referenceFeasible(b *bbState, v int) bool {
-	if b.cdeg[v] > b.e.k-1 {
+	if referenceCdeg(b, v) > b.e.k-1 {
 		return false
 	}
 	for _, u := range b.pList {
-		if b.cdeg[u] == b.e.k-1 && b.e.compVec[u].Get(v) {
+		if referenceCdeg(b, u) == b.e.k-1 && b.e.compVec[u].Get(v) {
 			return false
 		}
 	}
 	return true
 }
 
-// The incremental saturation vector must answer every probe exactly like
-// the member-list rescan, at every prefix of a growing plex.
+// The incremental bookkeeping must answer every probe exactly like the
+// from-scratch member-list rescan, at every prefix of a growing plex and
+// again at every prefix as the plex is taken apart in reverse.
 func TestFeasibleMatchesReferenceScan(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	for trial := 0; trial < 20; trial++ {
@@ -288,19 +401,23 @@ func TestFeasibleMatchesReferenceScan(t *testing.T) {
 		g := graph.Gnm(n, n*2, rng.Int63())
 		k := 1 + rng.Intn(3)
 		b := newBBState(newBBGraph(g, k))
-		for step := 0; step < n; step++ {
+		check := func() {
+			t.Helper()
 			for v := 0; v < n; v++ {
-				if b.inP.Get(v) {
+				if contains(b.pList, v) {
 					continue
 				}
 				if got, want := b.feasible(v), referenceFeasible(b, v); got != want {
-					t.Fatalf("n=%d k=%d |P|=%d v=%d: bitvec says %v, reference scan says %v",
+					t.Fatalf("n=%d k=%d |P|=%d v=%d: bookkeeping says %v, reference scan says %v",
 						n, k, len(b.pList), v, got, want)
 				}
 			}
+		}
+		for step := 0; step < n; step++ {
+			check()
 			grew := false
 			for v := 0; v < n; v++ {
-				if !b.inP.Get(v) && b.feasible(v) {
+				if !contains(b.pList, v) && b.feasible(v) {
 					b.add(v)
 					grew = true
 					break
@@ -308,6 +425,16 @@ func TestFeasibleMatchesReferenceScan(t *testing.T) {
 			}
 			if !grew {
 				break
+			}
+		}
+		for len(b.pList) > 0 {
+			b.remove(b.pList[len(b.pList)-1])
+			check()
+		}
+		for v := 0; v < n; v++ {
+			if b.adjP[v] != 0 || b.sat.Get(v) {
+				t.Fatalf("n=%d k=%d: vertex %d left unbalanced (adjP %d, saturated %v)",
+					n, k, v, b.adjP[v], b.sat.Get(v))
 			}
 		}
 	}
@@ -325,7 +452,7 @@ func BenchmarkBBFeasible(b *testing.B) {
 	for {
 		grew := false
 		for v := 0; v < e.n; v++ {
-			if !st.inP.Get(v) && st.feasible(v) {
+			if !contains(st.pList, v) && st.feasible(v) {
 				st.add(v)
 				grew = true
 				break

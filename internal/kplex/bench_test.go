@@ -67,3 +67,27 @@ func BenchmarkBBEndToEnd(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkBBOpt times one exact solve, allocations reported, on two
+// shapes that load the engine differently: the service's exact-cold
+// request (a fresh G(120, 480) at k = 2, whose thousands of pair tasks
+// dwarf its ≈ 200 search nodes) and a dense G(40, 0.8), where the search
+// nodes and their add/remove dominate.
+func BenchmarkBBOpt(b *testing.B) {
+	for _, c := range []struct {
+		name string
+		g    *graph.Graph
+	}{
+		{"exact-cold", graph.Gnm(120, 480, 1)},
+		{"dense", graph.Gnp(40, 0.8, 1)},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := kplex.BBOpt(context.Background(), c.g, 2, kplex.BBOptions{}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

@@ -293,8 +293,14 @@ func BBOpt(ctx context.Context, g *graph.Graph, k int, opt BBOptions) (Result, e
 		if len(comp) <= len(best) && !opt.DisableKernel {
 			continue
 		}
-		sub, ids := kern.Sub.InducedSubgraph(comp)
-		res, cerr := branchBound(ctx, sub, min(kEff, sub.N()), restrictOrder(kern.Order, ids), len(best))
+		// A part as large as the kernel is the kernel itself (parts are
+		// sorted vertex lists), searched as it stands.
+		sub, ids, order := kern.Sub, comp, kern.Order
+		if len(comp) < kern.Sub.N() {
+			sub, ids = kern.Sub.InducedSubgraph(comp)
+			order = restrictOrder(kern.Order, ids)
+		}
+		res, cerr := branchBound(ctx, sub, min(kEff, sub.N()), order, len(best))
 		nodes += res.Nodes
 		if res.Size > len(best) {
 			// Lift sub ids → kernel ids → original ids.
@@ -362,6 +368,10 @@ func restrictOrder(order []int, ids []int) []int {
 // seed resets only the entries it touched, so after one O(n²/64 + m)
 // pass collecting neighbour lists a step costs O(|P| + |N(P)|·|critical|)
 // plus the added vertex's degree, independent of n.
+//
+// A seed s with deg(s) + k ≤ |best| is skipped: a k-plex containing s
+// gives it at least |S| - k neighbours inside, so |S| ≤ deg(s) + k, and
+// only a strictly larger set replaces the best one.
 func Greedy(g *graph.Graph, k int) []int {
 	n := g.N()
 	nbrs := make([][]int, n)
@@ -384,6 +394,9 @@ func Greedy(g *graph.Graph, k int) []int {
 		}
 	}
 	for seed := 0; seed < n; seed++ {
+		if len(nbrs[seed])+k <= len(best) {
+			continue
+		}
 		set, touched = set[:0], touched[:0]
 		add(seed)
 		for {

@@ -72,19 +72,25 @@ func numChunks(n, grain int) int {
 
 // forChunks runs body(c) for every chunk index c in [0, chunks). Serial
 // (in chunk order) when only one worker is available or useful; otherwise
-// workers pull chunk indices from a shared counter. A panic in any body is
-// re-raised on the calling goroutine once all workers have stopped.
+// workers pull chunk indices from a shared counter. A panic in any body
+// reaches the caller either way.
 func forChunks(chunks int, body func(c int)) {
-	w := Workers()
-	if w > chunks {
-		w = chunks
-	}
+	w := min(Workers(), chunks)
 	if w <= 1 {
 		for c := 0; c < chunks; c++ {
 			body(c)
 		}
 		return
 	}
+	runWorkers(w, chunks, func(_, c int) { body(c) })
+}
+
+// runWorkers starts w goroutines that pull chunk indices in [0, chunks)
+// from a shared counter and run body(worker, c), where worker is the
+// goroutine's own index in [0, w). It returns once every goroutine has
+// stopped; a panic in any body is re-raised on the calling goroutine
+// then.
+func runWorkers(w, chunks int, body func(worker, c int)) {
 	var (
 		next atomic.Int64
 		wg   sync.WaitGroup
@@ -94,7 +100,7 @@ func forChunks(chunks int, body func(c int)) {
 	)
 	for i := 0; i < w; i++ {
 		wg.Add(1)
-		go func() {
+		go func(worker int) {
 			defer wg.Done()
 			defer func() {
 				if r := recover(); r != nil {
@@ -110,9 +116,9 @@ func forChunks(chunks int, body func(c int)) {
 				if c >= chunks {
 					return
 				}
-				body(c)
+				body(worker, c)
 			}
-		}()
+		}(i)
 	}
 	wg.Wait()
 	if pset {
@@ -157,6 +163,32 @@ func For(n, grain int, body func(lo, hi int)) {
 // state must not leak between chunks in a way that affects results: bodies
 // must fully (re)initialize what they read.
 func ForScratch[S any](n, grain int, newScratch func() S, body func(s S, lo, hi int)) {
+	NewScratch(newScratch).For(n, grain, body)
+}
+
+// Scratch is a set of per-worker scratch values that outlives a fan-out,
+// for callers that fan out many times over the same kind of state (the
+// branch-and-bound runs one fan-out per wave of tasks): each worker's
+// value is built once and serves every later fan-out too. Scratch.For
+// hands the fan-out's w-th worker the set's w-th value, building the
+// values the set does not hold yet on the calling goroutine, so no two
+// workers of a fan-out ever share one. A Scratch serves one fan-out at a
+// time. As with ForScratch, what a chunk computes must not depend on what
+// earlier chunks left in the value.
+type Scratch[S any] struct {
+	newScratch func() S
+	vals       []S
+}
+
+// NewScratch returns an empty set whose values newScratch builds on
+// demand.
+func NewScratch[S any](newScratch func() S) *Scratch[S] {
+	return &Scratch[S]{newScratch: newScratch}
+}
+
+// For runs body over [0, n) split into grain-sized chunks, like For, with
+// the running worker's value from the set as body's scratch.
+func (sc *Scratch[S]) For(n, grain int, body func(s S, lo, hi int)) {
 	if n <= 0 {
 		return
 	}
@@ -164,53 +196,22 @@ func ForScratch[S any](n, grain int, newScratch func() S, body func(s S, lo, hi 
 		grain = 1
 	}
 	chunks := numChunks(n, grain)
-	w := Workers()
-	if w > chunks {
-		w = chunks
+	w := min(Workers(), chunks)
+	for len(sc.vals) < w {
+		sc.vals = append(sc.vals, sc.newScratch())
 	}
-	if chunks == 1 || w <= 1 {
-		s := newScratch()
+	if w <= 1 {
 		for c := 0; c < chunks; c++ {
 			lo, hi := chunkBounds(c, n, grain)
-			body(s, lo, hi)
+			body(sc.vals[0], lo, hi)
 		}
 		return
 	}
-	var (
-		next atomic.Int64
-		wg   sync.WaitGroup
-		mu   sync.Mutex
-		pval any
-		pset bool
-	)
-	for i := 0; i < w; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			defer func() {
-				if r := recover(); r != nil {
-					mu.Lock()
-					if !pset {
-						pval, pset = r, true
-					}
-					mu.Unlock()
-				}
-			}()
-			s := newScratch()
-			for {
-				c := int(next.Add(1)) - 1
-				if c >= chunks {
-					return
-				}
-				lo, hi := chunkBounds(c, n, grain)
-				body(s, lo, hi)
-			}
-		}()
-	}
-	wg.Wait()
-	if pset {
-		panic(pval) //lint:allow panicmsg re-raises the worker's own panic value
-	}
+	vals := sc.vals
+	runWorkers(w, chunks, func(worker, c int) {
+		lo, hi := chunkBounds(c, n, grain)
+		body(vals[worker], lo, hi)
+	})
 }
 
 // Sum folds partial(lo, hi) over grain-sized chunks of [0, n) and adds the

@@ -87,6 +87,45 @@ func TestForScratchIsolation(t *testing.T) {
 	}
 }
 
+// A Scratch set outlives its fan-outs: each worker's value is built once
+// and handed to one worker at a time in every later fan-out. The body
+// writes its value without synchronisation, so under -race a value that
+// two concurrent workers shared would be reported as a data race; the
+// busy flag reports the same sharing without the race detector.
+func TestScratchStaysPerWorkerAcrossFanOuts(t *testing.T) {
+	type state struct {
+		busy   atomic.Bool
+		chunks int
+	}
+	for _, w := range []int{1, 2, 8} {
+		withWorkers(t, w, func() {
+			built := 0
+			sc := NewScratch(func() *state { built++; return &state{} })
+			const fanOuts, n = 40, 64
+			for f := 0; f < fanOuts; f++ {
+				sc.For(n, 1, func(s *state, lo, hi int) {
+					if !s.busy.CompareAndSwap(false, true) {
+						t.Errorf("w=%d fan-out %d: a scratch value is in use by two workers", w, f)
+						return
+					}
+					s.chunks += hi - lo
+					s.busy.Store(false)
+				})
+			}
+			if built != w {
+				t.Fatalf("w=%d: %d scratch values built over %d fan-outs, want one per worker", w, built, fanOuts)
+			}
+			total := 0
+			for _, s := range sc.vals {
+				total += s.chunks
+			}
+			if total != fanOuts*n {
+				t.Fatalf("w=%d: the scratch values saw %d indices, want %d", w, total, fanOuts*n)
+			}
+		})
+	}
+}
+
 // TestSumDeterministicAcrossWorkers is the keystone of the determinism
 // contract: chunked folds must be bit-identical at every worker count,
 // serial path included.

@@ -33,6 +33,7 @@ package reduce
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 
 	"repro/internal/graph"
@@ -185,36 +186,69 @@ func (kn Kernel) LiftSet(set []int) []int {
 // broken by lowest index) and the per-vertex core numbers: core[v] is the
 // largest c such that v survives in the c-core. The order is what the
 // branch-and-bound branches over — order[i]'s candidates are exactly the
-// later positions — and max(core) is the degeneracy of g. Each removal
-// scans every vertex for the minimum, so the peel costs O(n²+m).
+// later positions — and max(core) is the degeneracy of g.
+//
+// The peel is a bucket queue: one bit-vector bucket of vertices per
+// current degree, with a count per bucket. Each removal takes the lowest
+// set index of the lowest non-empty bucket. A removal lowers a degree by
+// one at most, so the next minimum is at least one below the last and the
+// scan restarts there. Over the whole peel the scan climbs at most
+// n + maxdeg buckets and reads one bucket's words per removal, so the
+// peel is O(n²/64 + m).
 func DegeneracyOrder(g *graph.Graph) (order, core []int) {
 	n := g.N()
 	order = make([]int, 0, n)
 	core = make([]int, n)
-	removed := make([]bool, n)
 	deg := make([]int, n)
+	maxDeg := 0
 	for v := 0; v < n; v++ {
 		deg[v] = g.Degree(v)
+		maxDeg = max(maxDeg, deg[v])
 	}
+	// Bucket d is words[d*nw : (d+1)*nw], bit v set iff v is unremoved
+	// with current degree d; size[d] counts its members.
+	nw := (n + 63) / 64
+	words := make([]uint64, (maxDeg+1)*nw)
+	size := make([]int, maxDeg+1)
+	move := func(v, from, to int) {
+		if from >= 0 {
+			words[from*nw+v/64] &^= 1 << uint(v%64)
+			size[from]--
+		}
+		if to >= 0 {
+			words[to*nw+v/64] |= 1 << uint(v%64)
+			size[to]++
+		}
+	}
+	for v := 0; v < n; v++ {
+		move(v, -1, deg[v])
+	}
+	removed := make([]bool, n)
 	running := 0 // max min-degree seen so far = core number of the next removal
+	d := 0       // no unremoved vertex has degree below d
 	for len(order) < n {
+		for size[d] == 0 {
+			d++
+		}
 		u := -1
-		for v := 0; v < n; v++ {
-			if !removed[v] && (u < 0 || deg[v] < deg[u]) {
-				u = v
+		for i, word := range words[d*nw : (d+1)*nw] {
+			if word != 0 {
+				u = i*64 + bits.TrailingZeros64(word)
+				break
 			}
 		}
-		if deg[u] > running {
-			running = deg[u]
-		}
+		running = max(running, d)
 		core[u] = running
 		removed[u] = true
+		move(u, d, -1)
 		order = append(order, u)
 		for _, w := range g.Neighbors(u) {
 			if !removed[w] {
+				move(w, deg[w], deg[w]-1)
 				deg[w]--
 			}
 		}
+		d = max(d-1, 0)
 	}
 	return order, core
 }
